@@ -1,13 +1,5 @@
 """Numeric inner kernels: tropical matrix product and the oracle grid scan.
 
-Both kernels exist twice: a numba @njit version and a pure-numpy version.
-numba is optional (the ``jit`` extra).  The numba path is used when
-``import numba`` succeeds and ``TROPT_DISABLE_NUMBA`` is not set to a true
-value; otherwise the numpy path is used.  Both give the same results.  The
-flag and the import are checked once, at import time, and ``USING_NUMBA``
-records the outcome.  ``benchmarks/bench_kernels.py`` compares the two and
-needs numba.
-
 The kernels work on raw float64 encodings.  Within a semifield carrier the
 naive float operations are exact: opposite infinities never meet, so no
 NaN can appear.
@@ -15,93 +7,35 @@ NaN can appear.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["matmul", "grid_scan", "USING_NUMBA"]
-
-_DISABLED = os.environ.get("TROPT_DISABLE_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
-
-USING_NUMBA = False
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # numba is optional: fall back to the numpy kernels
-        pass
-
-if not USING_NUMBA:  # identity decorator so both paths share one source
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+__all__ = ["matmul", "grid_scan"]
 
 
-# ---------------------------------------------------------------------------
-# tropical matrix product
-# ---------------------------------------------------------------------------
-
-
-def matmul_numpy(a, b, minimize, times):
+def matmul(a, b, minimize, times):
     """(m,n) x (n,l) tropical product via broadcasting."""
     combined = a[:, :, None] * b[None, :, :] if times else a[:, :, None] + b[None, :, :]
     return combined.min(axis=1) if minimize else combined.max(axis=1)
 
 
-@njit(cache=True)
-def matmul_numba(a, b, minimize, times):
-    m, n = a.shape
-    l = b.shape[1]
-    out = np.empty((m, l), dtype=np.float64)
-    for i in range(m):
-        for j in range(l):
-            best = np.inf if minimize else -np.inf
-            for k in range(n):
-                v = a[i, k] * b[k, j] if times else a[i, k] + b[k, j]
-                if minimize:
-                    if v < best:
-                        best = v
-                else:
-                    if v > best:
-                        best = v
-            out[i, j] = best
-    return out
+def grid_scan(X, B, g, h, p, qc, minimize, times):
+    """Feasibility and objective value of every candidate point (row of X).
 
-
-def matmul(a, b, minimize, times):
-    if USING_NUMBA:
-        return matmul_numba(a, b, minimize, times)
-    return matmul_numpy(a, b, minimize, times)
-
-
-# ---------------------------------------------------------------------------
-# oracle grid scan
-# ---------------------------------------------------------------------------
-#
-# For every candidate point x (one row of X) the scan decides feasibility
-#     B x <= x   (semifield order),  g <= x <= h,
-# and evaluates the objective
-#     (+)_i inv(x_i) p_i  (+)  (+)_i qc_i x_i,
-# where qc is the conjugate of q.  Comparisons are exact (eps = 0); callers
-# apply their tolerance policy when post-processing the returned values.
-
-
-def grid_scan_numpy(X, B, has_B, g, has_g, h, has_h, p, qc, minimize, times):
-    n = X.shape[1]
+    A point x is feasible when ``B x <= x`` (semifield order) and
+    ``g <= x <= h``; a ``None`` for ``B``, ``g`` or ``h`` drops that
+    constraint.  The objective is ``(+)_i inv(x_i) p_i (+) (+)_i qc_i x_i``,
+    where qc is the conjugate of q.  Comparisons are exact (eps = 0);
+    callers apply their tolerance policy when post-processing the values.
+    """
     asc = -1.0 if minimize else 1.0
     feas = np.ones(X.shape[0], dtype=np.bool_)
-    if has_B:
+    if B is not None:
         prod = B[None, :, :] * X[:, None, :] if times else B[None, :, :] + X[:, None, :]
         bx = prod.min(axis=2) if minimize else prod.max(axis=2)
         feas &= (asc * bx <= asc * X).all(axis=1)
-    if has_g:
+    if g is not None:
         feas &= (asc * g[None, :] <= asc * X).all(axis=1)
-    if has_h:
+    if h is not None:
         feas &= (asc * X <= asc * h[None, :]).all(axis=1)
     xinv = 1.0 / X if times else -X
     t1 = xinv * p[None, :] if times else xinv + p[None, :]
@@ -109,65 +43,3 @@ def grid_scan_numpy(X, B, has_B, g, has_g, h, has_h, p, qc, minimize, times):
     both = np.concatenate([t1, t2], axis=1)
     vals = both.min(axis=1) if minimize else both.max(axis=1)
     return feas, vals
-
-
-@njit(cache=True)
-def grid_scan_numba(X, B, has_B, g, has_g, h, has_h, p, qc, minimize, times):
-    N, n = X.shape
-    feas = np.ones(N, dtype=np.bool_)
-    vals = np.empty(N, dtype=np.float64)
-    for t in range(N):
-        ok = True
-        if has_g:
-            for i in range(n):
-                if (X[t, i] > g[i]) if minimize else (X[t, i] < g[i]):
-                    ok = False
-                    break
-        if ok and has_h:
-            for i in range(n):
-                if (X[t, i] < h[i]) if minimize else (X[t, i] > h[i]):
-                    ok = False
-                    break
-        if ok and has_B:
-            for i in range(n):
-                best = np.inf if minimize else -np.inf
-                for k in range(n):
-                    v = B[i, k] * X[t, k] if times else B[i, k] + X[t, k]
-                    if minimize:
-                        if v < best:
-                            best = v
-                    else:
-                        if v > best:
-                            best = v
-                if (best < X[t, i]) if minimize else (best > X[t, i]):
-                    ok = False
-                    break
-        feas[t] = ok
-        obj = np.inf if minimize else -np.inf
-        for i in range(n):
-            xi = X[t, i]
-            a = (1.0 / xi) * p[i] if times else p[i] - xi
-            b = qc[i] * xi if times else qc[i] + xi
-            if minimize:
-                if a < obj:
-                    obj = a
-                if b < obj:
-                    obj = b
-            else:
-                if a > obj:
-                    obj = a
-                if b > obj:
-                    obj = b
-        vals[t] = obj
-    return feas, vals
-
-
-def grid_scan(X, B, has_B, g, has_g, h, has_h, p, qc, minimize, times):
-    args = (
-        np.ascontiguousarray(X), np.ascontiguousarray(B), has_B,
-        np.ascontiguousarray(g), has_g, np.ascontiguousarray(h), has_h,
-        np.ascontiguousarray(p), np.ascontiguousarray(qc), minimize, times,
-    )
-    if USING_NUMBA:
-        return grid_scan_numba(*args)
-    return grid_scan_numpy(*args)

@@ -209,7 +209,8 @@ class TropicalMatrix:
         )
 
     def __hash__(self):
-        return hash((self.sf.tag, self.data.tobytes(), self.shape))
+        # + 0.0 maps -0.0 to 0.0: __eq__ treats them as equal, tobytes does not
+        return hash((self.sf.tag, (self.data + 0.0).tobytes(), self.shape))
 
     def as_scalar(self) -> TropicalScalar:
         if self.shape != (1, 1):

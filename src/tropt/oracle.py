@@ -145,17 +145,13 @@ def brute_force_min(
     X = grid.points()
     sf.validate(X)
 
-    n = inst.n
-    B = inst.B.data if inst.B is not None else np.zeros((n, n))
-    g = inst.g.data.reshape(-1) if inst.g is not None else np.zeros(n)
-    h = inst.h.data.reshape(-1) if inst.h is not None else np.zeros(n)
+    B = inst.B.data if inst.B is not None else None
+    g = inst.g.data.reshape(-1) if inst.g is not None else None
+    h = inst.h.data.reshape(-1) if inst.h is not None else None
     qc = inst.q.conj().data.reshape(-1)
     p = inst.p.data.reshape(-1)
 
-    feas, vals = _kernels.grid_scan(
-        X, B, inst.B is not None, g, inst.g is not None, h, inst.h is not None,
-        p, qc, sf.minimize, sf.times,
-    )
+    feas, vals = _kernels.grid_scan(X, B, g, h, p, qc, sf.minimize, sf.times)
     count = int(feas.sum())
     if count == 0:
         return OracleResult(None, [], 0)

@@ -1,48 +1,86 @@
-"""Both kernel implementations must agree bit-for-bit on shared inputs.
+"""The numpy kernels must match plain-Python loop references bit for bit.
 
-The numba/numpy switch is read at import time, so the cross-path check
-runs each path in its own interpreter and compares the serialized output.
-
-numba is an optional extra.  ``_kernels`` uses the JIT only when numba is
-not disabled by ``TROPT_DISABLE_NUMBA`` *and* ``import numba`` succeeds, so
-the flag tests expect exactly that.  ``NUMBA_IMPORTABLE`` is found by
-importing numba, not by ``find_spec``: numba can be on the path and still
-fail to import (say, against a numpy it does not support), and then the
-kernels fall back to numpy too.
-
-Where numba is absent, the ``*_variants_agree`` tests still compare the
-loop source of ``matmul_numba``/``grid_scan_numba``, run uncompiled, with
-the numpy kernels bit for bit, and the env-switch test still checks that
-``TROPT_DISABLE_NUMBA=1`` forces numpy and that both probes agree.  The
-compiled path is compared with numpy only where numba imports.
+``matmul_loop`` and ``grid_scan_loop`` below compute the same results one
+element at a time, with the semifield's order written out as comparisons.
+They are slow and serve only as the reference here.
 """
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tropt as t
-from tropt._kernels import (
-    USING_NUMBA,
-    grid_scan_numba,
-    grid_scan_numpy,
-    matmul_numba,
-    matmul_numpy,
-)
-
-try:
-    import numba  # noqa: F401
-
-    NUMBA_IMPORTABLE = True
-except ImportError:
-    NUMBA_IMPORTABLE = False
+from tropt._kernels import grid_scan, matmul
 
 FLAVORS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def matmul_loop(a, b, minimize, times):
+    m, n = a.shape
+    l = b.shape[1]
+    out = np.empty((m, l), dtype=np.float64)
+    for i in range(m):
+        for j in range(l):
+            best = np.inf if minimize else -np.inf
+            for k in range(n):
+                v = a[i, k] * b[k, j] if times else a[i, k] + b[k, j]
+                if minimize:
+                    if v < best:
+                        best = v
+                else:
+                    if v > best:
+                        best = v
+            out[i, j] = best
+    return out
+
+
+def grid_scan_loop(X, B, g, h, p, qc, minimize, times):
+    N, n = X.shape
+    feas = np.ones(N, dtype=np.bool_)
+    vals = np.empty(N, dtype=np.float64)
+    for r in range(N):
+        ok = True
+        if g is not None:
+            for i in range(n):
+                if (X[r, i] > g[i]) if minimize else (X[r, i] < g[i]):
+                    ok = False
+                    break
+        if ok and h is not None:
+            for i in range(n):
+                if (X[r, i] < h[i]) if minimize else (X[r, i] > h[i]):
+                    ok = False
+                    break
+        if ok and B is not None:
+            for i in range(n):
+                best = np.inf if minimize else -np.inf
+                for k in range(n):
+                    v = B[i, k] * X[r, k] if times else B[i, k] + X[r, k]
+                    if minimize:
+                        if v < best:
+                            best = v
+                    else:
+                        if v > best:
+                            best = v
+                if (best < X[r, i]) if minimize else (best > X[r, i]):
+                    ok = False
+                    break
+        feas[r] = ok
+        obj = np.inf if minimize else -np.inf
+        for i in range(n):
+            xi = X[r, i]
+            a = (1.0 / xi) * p[i] if times else p[i] - xi
+            b = qc[i] * xi if times else qc[i] + xi
+            if minimize:
+                if a < obj:
+                    obj = a
+                if b < obj:
+                    obj = b
+            else:
+                if a > obj:
+                    obj = a
+                if b > obj:
+                    obj = b
+        vals[r] = obj
+    return feas, vals
 
 
 def _random_operands(rng, minimize, times, m, n, l):
@@ -60,9 +98,8 @@ def test_matmul_variants_agree(minimize, times):
     for _ in range(50):
         m, n, l = rng.integers(1, 7, size=3)
         a, b = _random_operands(rng, minimize, times, m, n, l)
-        got_np = matmul_numpy(a, b, minimize, times)
-        got_nb = matmul_numba(a, b, minimize, times)
-        assert np.array_equal(got_np, got_nb)
+        got = matmul(a, b, minimize, times)
+        assert np.array_equal(got, matmul_loop(a, b, minimize, times))
 
 
 @pytest.mark.parametrize("minimize,times", FLAVORS)
@@ -79,10 +116,9 @@ def test_matmul_with_zeros_agrees(minimize, times):
         a, b = _random_operands(rng, minimize, times, m, n, l)
         a[rng.random(a.shape) < 0.3] = sf.zero
         b[rng.random(b.shape) < 0.3] = sf.zero
-        got_np = matmul_numpy(a, b, minimize, times)
-        got_nb = matmul_numba(a, b, minimize, times)
-        assert np.array_equal(got_np, got_nb)
-        assert not np.isnan(got_np).any()
+        got = matmul(a, b, minimize, times)
+        assert np.array_equal(got, matmul_loop(a, b, minimize, times))
+        assert not np.isnan(got).any()
 
 
 @pytest.mark.parametrize("minimize,times", FLAVORS)
@@ -101,54 +137,10 @@ def test_grid_scan_variants_agree(minimize, times):
             X, B, g, h, p, qc = (np.exp(v / 8) for v in (X, B, g, h, p, qc))
         if minimize:
             g, h = h, g
-        for has_B in (False, True):
-            for has_box in (False, True):
-                args = (X, B, has_B, g, has_box, h, has_box, p, qc, minimize, times)
-                f1, v1 = grid_scan_numpy(*args)
-                f2, v2 = grid_scan_numba(*args)
+        for B_arg in (None, B):
+            for g_arg, h_arg in ((None, None), (g, h)):
+                args = (X, B_arg, g_arg, h_arg, p, qc, minimize, times)
+                f1, v1 = grid_scan(*args)
+                f2, v2 = grid_scan_loop(*args)
                 assert np.array_equal(f1, f2)
                 assert np.array_equal(v1, v2)
-
-
-def _run_probe(disable: str) -> dict:
-    """Solve and grid-verify the shipped instance in a fresh interpreter."""
-    probe = r"""
-import json, sys
-import numpy as np
-import tropt as t
-from tropt import _kernels
-
-inst = t.problem(
-    t.MAX_PLUS, [3, 14], [-12, -4], g=[2, -8], h=[6, 8], B=[[0, -4], [-8, -6]]
-)
-sol = t.solve_instance(inst)
-res = t.brute_force_min(inst)
-print(json.dumps({
-    "using_numba": _kernels.USING_NUMBA,
-    "theta": sol.theta.value,
-    "u_hi": sol.u_hi.column_values().tolist(),
-    "oracle_min": res.min_value.value,
-    "argmins": [a.tolist() for a in res.argmins],
-}))
-"""
-    env = dict(os.environ, TROPT_DISABLE_NUMBA=disable)
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        cwd=str(Path(__file__).resolve().parent.parent), check=True,
-    )
-    return json.loads(out.stdout)
-
-
-def test_both_paths_selected_by_env_and_agree():
-    plain = _run_probe("1")
-    jitted = _run_probe("0")
-    assert plain["using_numba"] is False
-    assert jitted["using_numba"] is NUMBA_IMPORTABLE
-    assert plain == {**jitted, "using_numba": False}
-
-
-def test_flag_matches_current_process():
-    enabled = os.environ.get("TROPT_DISABLE_NUMBA", "").strip().lower() not in (
-        "1", "true", "yes", "on",
-    )
-    assert USING_NUMBA is (enabled and NUMBA_IMPORTABLE)

@@ -100,6 +100,14 @@ class TestBasicOps:
         with pytest.raises(DomainError):
             t.zeros(mp, 2).conj()
 
+    def test_hash_agrees_with_eq_on_signed_zero(self, mp):
+        # conj negates 0.0 into -0.0, which == 0.0 but has other bytes
+        v = t.tvector(mp, [0, 2])
+        w = t.trow(mp, [0, -2])
+        assert v.conj() == w
+        assert hash(v.conj()) == hash(w)
+        assert len({v.conj(), w}) == 1
+
     def test_regularity(self, mp):
         assert t.tvector(mp, [3, 14]).is_regular()
         assert not t.tvector(mp, [2, mp.zero]).is_regular()
