@@ -56,7 +56,6 @@ from .solve import (
     solve_instance,
     solve_linear_constrained,
     solve_unconstrained,
-    theta_forms_agree,
 )
 from .systems import ConeSolution, Infeasible, UpperSolution, solve_ax_le_d, solve_ax_plus_b_le_x
 

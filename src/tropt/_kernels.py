@@ -1,4 +1,4 @@
-"""Numeric inner kernels: tropical matrix product and the oracle grid scan.
+"""Numeric inner kernels: tropical matrix product, closure and the oracle grid scan.
 
 The kernels work on raw float64 encodings.  Within a semifield carrier the
 naive float operations are exact: opposite infinities never meet, so no
@@ -9,13 +9,34 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["matmul", "grid_scan"]
+__all__ = ["matmul", "closure", "grid_scan"]
 
 
 def matmul(a, b, minimize, times):
     """(m,n) x (n,l) tropical product via broadcasting."""
     combined = a[:, :, None] * b[None, :, :] if times else a[:, :, None] + b[None, :, :]
     return combined.min(axis=1) if minimize else combined.max(axis=1)
+
+
+def closure(a, minimize, times):
+    """Plus-closure A + A^2 + A^3 + ... by Carre/Floyd-Warshall elimination.
+
+    One O(n^3) pass over the pivots k, each relaxing every entry through k.
+    Returns None as soon as a diagonal entry exceeds the semifield one
+    (exact comparison, as in :func:`grid_scan`): a cycle heavier than one
+    makes the closure diverge, and further pivots would square its weight
+    until the floats overflow or underflow out of the carrier.
+    """
+    d = np.array(a, dtype=np.float64, copy=True)
+    better = np.minimum if minimize else np.maximum
+    outer = np.multiply.outer if times else np.add.outer
+    one = 1.0 if times else 0.0
+    diag = np.diagonal(d)  # a read-only view: it follows the updates to d
+    for k in range(d.shape[0]):
+        better(d, outer(d[:, k], d[k, :]), out=d)
+        if (diag < one).any() if minimize else (diag > one).any():
+            return None
+    return d
 
 
 def grid_scan(X, B, g, h, p, qc, minimize, times):

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .errors import GridGuardError, TroptError
+from .errors import TroptError
 from .location import to_general_problem
 from .oracle import GridSpec, brute_force_min, default_grid
 from .probfile import ParsedProblem, dump_json, load_problem, report_dict, solve_parsed
@@ -170,9 +170,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_plot(args)
-    except GridGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (TroptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -125,15 +125,17 @@ class TropicalMatrix:
 
         At most one when every cycle weight is at most one; above one exactly
         when the matrix carries a cycle whose weight exceeds the semifield one.
+        The test runs one O(n^3) closure elimination: when no cycle exceeds
+        one, the trace of the plus-closure is the largest cycle weight, which
+        is the combined trace.  Otherwise the value comes from the identity
+        A (A^0 + ... + A^(n-1)) = A + ... + A^n, so that it still sums closed
+        walks of length at most n.
         """
         self._require_square("power_trace")
-        n = self.rows
-        acc = self.trace().value
-        power = self
-        for _ in range(n - 1):
-            power = power @ self
-            acc = float(self.sf.add(acc, power.trace().value))
-        return TropicalScalar(acc, self.sf)
+        plus = _kernels.closure(self.data, self.sf.minimize, self.sf.times)
+        if plus is not None:
+            return TropicalMatrix(self.sf, plus, _trusted=True).trace()
+        return (self @ self.star()).trace()
 
     def star(self) -> "TropicalMatrix":
         """Kleene star: the sum of powers 0..n-1.

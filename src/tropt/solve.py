@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import DimensionError, DomainError, SemifieldMismatchError, TroptError
 from .linalg import TropicalMatrix, identity, tvector, zeros
 from .semifield import Semifield, TropicalScalar
+from .systems import Infeasible, solve_ax_plus_b_le_x
 
 __all__ = [
     "InfeasibleReason",
@@ -35,7 +36,6 @@ __all__ = [
     "solve_general",
     "solve_instance",
     "contains",
-    "theta_forms_agree",
 ]
 
 
@@ -193,10 +193,10 @@ def solve_linear_constrained(
         raise DomainError("p must be non-zero")
     if not q.is_regular():
         raise DomainError("q must be regular")
-    t = B.power_trace()
-    if not _check_one(sf, t):
-        return InfeasibilityReport(InfeasibleReason.TR_EXCEEDS_ONE, t)
-    bstar = B.star()
+    cone = solve_ax_plus_b_le_x(B, zeros(sf, p.rows))
+    if isinstance(cone, Infeasible):
+        return InfeasibilityReport(InfeasibleReason.TR_EXCEEDS_ONE, cone.power_trace)
+    bstar = cone.generator
     qb = q.conj() @ bstar
     theta = (qb @ p).as_scalar().sqrt()
     u_lo = p.scale(theta.inv())
@@ -247,10 +247,10 @@ def solve_general(
         B = zeros(sf, n, n)
     if g is None:
         g = zeros(sf, n)
-    t = B.power_trace()
-    if not _check_one(sf, t):
-        return InfeasibilityReport(InfeasibleReason.TR_EXCEEDS_ONE, t)
-    bstar = B.star()
+    cone = solve_ax_plus_b_le_x(B, g)
+    if isinstance(cone, Infeasible):
+        return InfeasibilityReport(InfeasibleReason.TR_EXCEEDS_ONE, cone.power_trace)
+    bstar = cone.generator
     hc = _h_conj(sf, h, n)
     box_cond = (hc @ bstar @ g).as_scalar()
     if not _check_one(sf, box_cond):
@@ -315,24 +315,3 @@ def contains(
         )
     return direct
 
-
-def theta_forms_agree(
-    B: TropicalMatrix, p: TropicalMatrix, q: TropicalMatrix, eps: float | None = None
-) -> bool:
-    """Check the two closed forms of the linear-constrained optimum agree.
-
-    Compares sqrt(conj(B*(conj(q)B*)^-) p) with sqrt(conj(q) B* p); the
-    equality holds for every valid input, so a False return signals a bug.
-    """
-    sf = p.sf
-    if p.is_zero():
-        raise DomainError("p must be non-zero")
-    if not q.is_regular():
-        raise DomainError("q must be regular")
-    if not _check_one(sf, B.power_trace()):
-        raise DomainError("cycle condition violated: no feasible point")
-    bstar = B.star()
-    qb = q.conj() @ bstar
-    compact = (qb @ p).as_scalar().sqrt()
-    nested = ((bstar @ qb.conj()).conj() @ p).as_scalar().sqrt()
-    return nested.eq(compact, eps)

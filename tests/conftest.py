@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tropt as t
+from tropt.errors import DomainError
 
 WORKED = {
     "p": [3, 14],
@@ -77,3 +78,23 @@ def as_instance(sf, raw):
         h=mk(raw["h"]),
         B=None if raw["B"] is None else t.tmatrix(sf, raw["B"]),
     )
+
+
+def theta_forms_agree(B, p, q, eps=None):
+    """Check the two closed forms of the linear-constrained optimum agree.
+
+    Compares sqrt(conj(B*(conj(q)B*)^-) p) with sqrt(conj(q) B* p); the
+    equality holds for every valid input, so a False return signals a bug.
+    """
+    sf = p.sf
+    if p.is_zero():
+        raise DomainError("p must be non-zero")
+    if not q.is_regular():
+        raise DomainError("q must be regular")
+    if not B.power_trace() <= sf.scalar(sf.one):
+        raise DomainError("cycle condition violated: no feasible point")
+    bstar = B.star()
+    qb = q.conj() @ bstar
+    compact = (qb @ p).as_scalar().sqrt()
+    nested = ((bstar @ qb.conj()).conj() @ p).as_scalar().sqrt()
+    return nested.eq(compact, eps)

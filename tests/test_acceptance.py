@@ -14,7 +14,9 @@ import tropt as t
 from tropt.probfile import load_problem, solve_parsed
 from tropt.svg import render_svg
 
-from conftest import POINTS, WEIGHTS, WORKED, as_instance, random_feasible_instance
+from conftest import (
+    POINTS, WEIGHTS, WORKED, as_instance, random_feasible_instance, theta_forms_agree,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 MP = t.MAX_PLUS
@@ -230,7 +232,7 @@ def test_criterion_08_theta_form_equivalence():
     for _ in range(100):
         n = int(rng.integers(1, 6))
         raw = random_feasible_instance(rng, n, with_box=False)
-        ok &= t.theta_forms_agree(
+        ok &= theta_forms_agree(
             t.tmatrix(MP, raw["B"]), t.tvector(MP, raw["p"]), t.tvector(MP, raw["q"]),
             eps=0.0,
         )

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import tropt as t
+from tropt import _kernels
 from tropt.errors import DimensionError, DomainError, SemifieldMismatchError
 
 ALL = [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES]
@@ -200,6 +203,71 @@ class TestClosureProperties:
             n = int(rng.integers(1, 5))
             a = random_matrix(rng, sf, n, n)
             assert t.identity(sf, n).leq(a.star(), sf.default_eps)
+
+
+def power_trace_loop(a):
+    """Reference for power_trace: tr(A) + ... + tr(A^n) from n - 1 full products."""
+    acc = a.trace().value
+    power = a
+    for _ in range(a.rows - 1):
+        power = power @ a
+        acc = float(a.sf.add(acc, power.trace().value))
+    return acc
+
+
+def _from_exponents(sf, exps, mask):
+    """Matrix carrying the integer exponents exactly: as themselves in the
+    plus semifields and as powers of two in the times ones, negated for the
+    min ones, so a cycle exceeds one exactly when its exponents sum above 0.
+    Masked entries are the semifield zero."""
+    e = -exps if sf.minimize else exps
+    vals = np.exp2(e) if sf.times else e
+    return t.TropicalMatrix(sf, np.where(mask, sf.zero, vals))
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["contractive", "planted-cycle"])
+@pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
+def test_power_trace_matches_loop_reference(sf, planted):
+    rng = np.random.default_rng(24)
+    for n in range(1, 9):
+        for _ in range(20):
+            exps = rng.integers(-8, 1, size=(n, n)).astype(float)
+            mask = rng.random((n, n)) < 0.2
+            if planted:
+                # one cycle of weight-one edges, one of them raised above one
+                cycle = rng.permutation(n)[: rng.integers(1, n + 1)]
+                edges = (cycle, np.roll(cycle, -1))
+                exps[edges] = 0
+                mask[edges] = False
+                exps[cycle[0], edges[1][0]] = rng.integers(1, 4)
+            a = _from_exponents(sf, exps, mask)
+            ref = power_trace_loop(a)
+            assert a.power_trace().value == ref
+            exceeds = not sf.leq(ref, sf.one, 0.0)
+            assert exceeds == planted
+            assert (_kernels.closure(a.data, sf.minimize, sf.times) is None) == exceeds
+
+
+@pytest.mark.parametrize(
+    "sf, entry", [(t.MAX_TIMES, 4.0), (t.MIN_TIMES, 0.25), (t.MAX_PLUS, 1e300)],
+    ids=["max-times", "min-times", "max-plus"],
+)
+def test_power_trace_heavy_cycles_stay_in_range(sf, entry):
+    # Every cycle of this dense matrix exceeds one.  Eliminating all pivots
+    # would square those weights until they overflow (or, in min-times,
+    # underflow to 0.0, outside the carrier); the closed-walk sum of length
+    # at most n stays finite.
+    n = 64
+    vals = np.full((n, n), entry)
+    if sf.times:
+        vals[::2, 1::2] = sf.zero
+    a = t.TropicalMatrix(sf, vals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = a.power_trace().value
+    assert np.isfinite(value)
+    assert not sf.leq(value, sf.one, 0.0)
+    assert value == pytest.approx(power_trace_loop(a), rel=1e-9)
 
 
 def test_validation_on_construction():

@@ -6,7 +6,7 @@ import pytest
 import tropt as t
 from tropt.errors import DomainError, TroptError
 
-from conftest import as_instance, random_feasible_instance
+from conftest import as_instance, random_feasible_instance, theta_forms_agree
 
 
 class TestUnconstrained:
@@ -183,7 +183,7 @@ class TestMembership:
 
 class TestThetaForms:
     def test_worked(self, worked):
-        assert t.theta_forms_agree(worked["B"], worked["p"], worked["q"])
+        assert theta_forms_agree(worked["B"], worked["p"], worked["q"])
 
     def test_random(self, mp):
         rng = np.random.default_rng(35)
@@ -193,13 +193,13 @@ class TestThetaForms:
             B = t.tmatrix(mp, raw["B"])
             p = t.tvector(mp, raw["p"])
             q = t.tvector(mp, raw["q"])
-            assert t.theta_forms_agree(B, p, q)
+            assert theta_forms_agree(B, p, q)
 
     def test_rejects_infeasible(self, mp):
         B = t.tmatrix(mp, [[1]])
         v = t.tvector(mp, [0])
         with pytest.raises(DomainError):
-            t.theta_forms_agree(B, v, v)
+            theta_forms_agree(B, v, v)
 
 
 def _translate(raw, sf):
