@@ -120,35 +120,43 @@ class TropicalMatrix:
         val = diag.min() if self.sf.minimize else diag.max()
         return TropicalScalar(float(val), self.sf)
 
-    def power_trace(self) -> TropicalScalar:
+    def power_trace(self, star: "TropicalMatrix | None" = None) -> TropicalScalar:
         """Combined trace of the powers 1..n; detects order-violating cycles.
 
         At most one when every cycle weight is at most one; above one exactly
         when the matrix carries a cycle whose weight exceeds the semifield one.
-        The test runs one O(n^3) closure elimination: when no cycle exceeds
-        one, the trace of the plus-closure is the largest cycle weight, which
-        is the combined trace.  Otherwise the value comes from the identity
-        A (A^0 + ... + A^(n-1)) = A + ... + A^n, so that it still sums closed
-        walks of length at most n.
+        By A (A^0 + ... + A^(n-1)) = A + ... + A^n the value is the trace of
+        A A*, read in O(n^2) as the sum over i, k of a_ik a*_ki.  ``star`` is
+        this matrix's :meth:`star`; pass it when it is already at hand, and
+        it is computed here otherwise.
         """
         self._require_square("power_trace")
-        plus = _kernels.closure(self.data, self.sf.minimize, self.sf.times)
-        if plus is not None:
-            return TropicalMatrix(self.sf, plus, _trusted=True).trace()
-        return (self @ self.star()).trace()
+        if star is None:
+            star = self.star()
+        else:
+            self._same_sf(star)
+            if star.shape != self.shape:
+                raise DimensionError(f"star shape {star.shape} does not match {self.shape}")
+        walks = self.sf.mul(self.data, star.data.T)
+        val = walks.min() if self.sf.minimize else walks.max()
+        return TropicalScalar(float(val), self.sf)
 
     def star(self) -> "TropicalMatrix":
         """Kleene star: the sum of powers 0..n-1.
 
-        Computed by binary exponentiation of I + A: in an idempotent
-        semiring (I + A)^k is exactly the sum of powers 0..k, so raising
-        to the exponent n-1 reproduces the definition in O(n^3 log n).
+        When no cycle exceeds the semifield one, this is I plus the
+        plus-closure from one O(n^3) Carre/Floyd-Warshall elimination: the
+        powers from n on add nothing.  Otherwise the closure diverges and
+        the sum comes from binary exponentiation of I + A: in an idempotent
+        semiring (I + A)^k is exactly the sum of powers 0..k, so raising to
+        the exponent n-1 reproduces the definition in O(n^3 log n).
         """
         self._require_square("star")
         n = self.rows
         result = identity(self.sf, n)
-        if n == 1:
-            return result
+        plus = _kernels.closure(self.data, self.sf.minimize, self.sf.times)
+        if plus is not None:
+            return TropicalMatrix(self.sf, self.sf.add(plus, result.data), _trusted=True)
         base = result + self
         e = n - 1
         while e:
@@ -195,13 +203,13 @@ class TropicalMatrix:
         self._same_sf(other)
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return bool(np.all(self.sf.leq(self.data, other.data, eps)))
+        return bool(self.sf.leq(self.data, other.data, eps).all())
 
     def eq(self, other: "TropicalMatrix", eps: float | None = None) -> bool:
         self._same_sf(other)
         if self.shape != other.shape:
             return False
-        return bool(np.all(self.sf.eq(self.data, other.data, eps)))
+        return bool(self.sf.eq(self.data, other.data, eps).all())
 
     def __eq__(self, other):
         if not isinstance(other, TropicalMatrix):

@@ -135,39 +135,46 @@ class Semifield:
         return np.negative(a) if self.minimize else np.asarray(a, dtype=np.float64)
 
     def leq(self, a, b, eps: float | None = None):
-        """a <= b in the induced order, up to the tolerance policy.
-
-        eps is absolute for the plus semifields (default 0) and relative
-        for the times semifields (default 1e-9).
-        """
-        if eps is None:
-            eps = self.default_eps
+        """a <= b in the induced order, up to the tolerance policy of :meth:`_close`."""
         ok = self._asc(a) <= self._asc(b)
-        if eps == 0:
+        if eps == 0 or ok.all():
             return ok
         return np.logical_or(ok, self._close(a, b, eps))
 
     def eq(self, a, b, eps: float | None = None):
-        if eps is None:
-            eps = self.default_eps
+        """a == b up to the tolerance policy of :meth:`_close`."""
         same = np.asarray(a) == np.asarray(b)
-        if eps == 0:
+        if eps == 0 or same.all():
             return same
         return np.logical_or(same, self._close(a, b, eps))
 
     def _close(self, a, b, eps):
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if self.times:
-            scale = np.maximum(np.abs(a), np.abs(b))
-            with np.errstate(invalid="ignore"):
-                diff = a - b
-                near = np.logical_and(np.abs(diff) <= eps * scale, np.isfinite(diff))
-            # an infinity is close only to itself
-            return np.logical_or(near, a == b)
+        """Whether |a - b| <= eps * scale; an infinity is close to nothing.
+
+        The callers have already accepted exact equality.  The default (eps
+        None) allows for float rounding: eps is ``default_eps`` and the
+        scale is max(|a|, |b|), floored at 1 in the plus semifields
+        (absolute below 1, relative above).  An explicit eps is a tolerance
+        in the semifield's own units: absolute (scale 1) in the plus
+        semifields, relative in the times ones.
+        """
+        # Whole oracle grids pass through here, so the two work arrays are
+        # updated in place: fresh temporaries cost more than the arithmetic.
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        diff = np.empty(shape)
         with np.errstate(invalid="ignore"):
-            close = np.abs(a - b) <= eps
-        return np.logical_or(close, a == b)  # equal infinities
+            np.subtract(a, b, out=diff)  # NaN or inf wherever an infinity is involved
+        np.abs(diff, out=diff)
+        if not self.times and eps is not None:
+            return diff <= eps
+        tol = np.abs(a, out=np.empty(shape))
+        np.maximum(tol, np.abs(b), out=tol)
+        if not self.times:
+            np.maximum(tol, 1.0, out=tol)
+        tol *= self.default_eps if eps is None else eps
+        near = diff <= tol
+        near &= np.isfinite(diff)
+        return near
 
     # -- construction ---------------------------------------------------
 
@@ -177,11 +184,11 @@ class Semifield:
 
 MAX_PLUS = Semifield(
     SemifieldKind.MAX_PLUS, minimize=False, times=False,
-    zero=-_INF, one=0.0, top=_INF, default_eps=0.0,
+    zero=-_INF, one=0.0, top=_INF, default_eps=1e-9,
 )
 MIN_PLUS = Semifield(
     SemifieldKind.MIN_PLUS, minimize=True, times=False,
-    zero=_INF, one=0.0, top=-_INF, default_eps=0.0,
+    zero=_INF, one=0.0, top=-_INF, default_eps=1e-9,
 )
 MAX_TIMES = Semifield(
     SemifieldKind.MAX_TIMES, minimize=False, times=True,

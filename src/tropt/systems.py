@@ -59,14 +59,16 @@ def solve_ax_plus_b_le_x(A: TropicalMatrix, b: TropicalMatrix) -> ConeSolution |
     """Solve A x + b <= x for regular x.
 
     Feasible exactly when power_trace(A) is at most the semifield one; the
-    solutions then form the cone {A* u : u >= b}.
+    solutions then form the cone {A* u : u >= b}.  A* is computed once and
+    serves both the cycle test and the cone.
     """
     if not A.is_square:
         raise DimensionError(f"A must be square, got {A.shape}")
     if not b.is_column or b.rows != A.rows:
         raise DimensionError(f"incompatible shapes: A {A.shape}, b {b.shape}")
-    t = A.power_trace()
+    star = A.star()
+    t = A.power_trace(star)
     one = A.sf.scalar(A.sf.one)
     if not t <= one:
         return Infeasible(t)
-    return ConeSolution(A.star(), b)
+    return ConeSolution(star, b)

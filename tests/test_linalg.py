@@ -215,6 +215,20 @@ def power_trace_loop(a):
     return acc
 
 
+def star_squaring_loop(a):
+    """Reference for star: (I + A)^(n-1) by repeated squaring, O(n^3 log n)."""
+    result = t.identity(a.sf, a.rows)
+    base = result + a
+    e = a.rows - 1
+    while e:
+        if e & 1:
+            result = result @ base
+        e >>= 1
+        if e:
+            base = base @ base
+    return result
+
+
 def _from_exponents(sf, exps, mask):
     """Matrix carrying the integer exponents exactly: as themselves in the
     plus semifields and as powers of two in the times ones, negated for the
@@ -225,27 +239,49 @@ def _from_exponents(sf, exps, mask):
     return t.TropicalMatrix(sf, np.where(mask, sf.zero, vals))
 
 
-@pytest.mark.parametrize("planted", [False, True], ids=["contractive", "planted-cycle"])
-@pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
-def test_power_trace_matches_loop_reference(sf, planted):
+def _reference_cases(sf, planted):
+    """20 exact matrices for each n = 1..8: contractive, or with one planted
+    cycle of weight-one edges, one of them raised above one."""
     rng = np.random.default_rng(24)
     for n in range(1, 9):
         for _ in range(20):
             exps = rng.integers(-8, 1, size=(n, n)).astype(float)
             mask = rng.random((n, n)) < 0.2
             if planted:
-                # one cycle of weight-one edges, one of them raised above one
                 cycle = rng.permutation(n)[: rng.integers(1, n + 1)]
                 edges = (cycle, np.roll(cycle, -1))
                 exps[edges] = 0
                 mask[edges] = False
                 exps[cycle[0], edges[1][0]] = rng.integers(1, 4)
-            a = _from_exponents(sf, exps, mask)
-            ref = power_trace_loop(a)
-            assert a.power_trace().value == ref
-            exceeds = not sf.leq(ref, sf.one, 0.0)
-            assert exceeds == planted
-            assert (_kernels.closure(a.data, sf.minimize, sf.times) is None) == exceeds
+            yield _from_exponents(sf, exps, mask)
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["contractive", "planted-cycle"])
+@pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
+def test_power_trace_matches_loop_reference(sf, planted):
+    for a in _reference_cases(sf, planted):
+        ref = power_trace_loop(a)
+        assert a.power_trace().value == ref
+        assert a.power_trace(star_squaring_loop(a)).value == ref
+        exceeds = not sf.leq(ref, sf.one, 0.0)
+        assert exceeds == planted
+        assert (_kernels.closure(a.data, sf.minimize, sf.times) is None) == exceeds
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["contractive", "planted-cycle"])
+@pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
+def test_star_matches_squaring_reference(sf, planted):
+    # == rather than bytes: the elimination may give -0.0 where squaring gives 0.0
+    for a in _reference_cases(sf, planted):
+        assert a.star() == star_squaring_loop(a)
+
+
+def test_power_trace_rejects_a_foreign_star(mp):
+    a = t.zeros(mp, 2, 2)
+    with pytest.raises(DimensionError):
+        a.power_trace(t.identity(mp, 3))
+    with pytest.raises(SemifieldMismatchError):
+        a.power_trace(t.identity(t.MIN_PLUS, 2))
 
 
 @pytest.mark.parametrize(
