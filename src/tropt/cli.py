@@ -36,8 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the file's semifield tag")
         p.add_argument("--epsilon", type=float, default=None,
                        help="comparison tolerance: absolute in max-plus/min-plus, relative "
-                            "in max-times/min-times; 0 is exact (default: 1e-9 times "
-                            "max(1, |a|, |b|), or max(|a|, |b|) in the times semifields; "
+                            "in max-times/min-times; 0 is exact (default: 1e-9; "
                             "env TROPT_EPSILON)")
         p.add_argument("--out", help="write output here instead of stdout")
 

@@ -135,43 +135,45 @@ class Semifield:
         return np.negative(a) if self.minimize else np.asarray(a, dtype=np.float64)
 
     def leq(self, a, b, eps: float | None = None):
-        """a <= b in the induced order, up to the tolerance policy of :meth:`_close`."""
+        """a <= b in the induced order, up to the tolerance of :meth:`_close`.
+
+        eps defaults to ``default_eps``; 0 compares exactly.
+        """
+        if eps is None:
+            eps = self.default_eps
         ok = self._asc(a) <= self._asc(b)
         if eps == 0 or ok.all():
             return ok
         return np.logical_or(ok, self._close(a, b, eps))
 
     def eq(self, a, b, eps: float | None = None):
-        """a == b up to the tolerance policy of :meth:`_close`."""
+        """a == b up to the tolerance of :meth:`_close`."""
+        if eps is None:
+            eps = self.default_eps
         same = np.asarray(a) == np.asarray(b)
         if eps == 0 or same.all():
             return same
         return np.logical_or(same, self._close(a, b, eps))
 
     def _close(self, a, b, eps):
-        """Whether |a - b| <= eps * scale; an infinity is close to nothing.
+        """Whether |a - b| <= eps in the semifield's own units.
 
-        The callers have already accepted exact equality.  The default (eps
-        None) allows for float rounding: eps is ``default_eps`` and the
-        scale is max(|a|, |b|), floored at 1 in the plus semifields
-        (absolute below 1, relative above).  An explicit eps is a tolerance
-        in the semifield's own units: absolute (scale 1) in the plus
-        semifields, relative in the times ones.
+        eps is absolute in the plus semifields and relative to
+        max(|a|, |b|) in the times ones.  An infinity is close to nothing;
+        the callers have already accepted exact equality.
         """
-        # Whole oracle grids pass through here, so the two work arrays are
+        # Whole oracle grids pass through here, so the work arrays are
         # updated in place: fresh temporaries cost more than the arithmetic.
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
         diff = np.empty(shape)
         with np.errstate(invalid="ignore"):
             np.subtract(a, b, out=diff)  # NaN or inf wherever an infinity is involved
         np.abs(diff, out=diff)
-        if not self.times and eps is not None:
+        if not self.times:
             return diff <= eps
         tol = np.abs(a, out=np.empty(shape))
         np.maximum(tol, np.abs(b), out=tol)
-        if not self.times:
-            np.maximum(tol, 1.0, out=tol)
-        tol *= self.default_eps if eps is None else eps
+        tol *= eps
         near = diff <= tol
         near &= np.isfinite(diff)
         return near

@@ -2,8 +2,8 @@
 
 On real data ``p - theta`` and ``q + theta`` round differently, so the two
 ends of the solution box may cross by an ulp at the binding coordinate.
-The default tolerance (1e-9, absolute below magnitude 1 and relative
-above) must absorb that in ``_finish`` and ``contains`` alike.
+The default tolerance (absolute 1e-9) must absorb that in ``_finish`` and
+``contains`` alike, and must never merge distinct integers, however large.
 """
 
 import numpy as np
@@ -77,6 +77,30 @@ def test_real_valued_probe_2000():
         except TroptError:
             rejected += 1
     assert (errors, rejected) == (0, 0)
+
+
+@pytest.mark.parametrize("sf", PLUS, ids=lambda sf: sf.tag)
+@pytest.mark.parametrize("big", [2e9, 1e12, 2.0**52])
+def test_large_integers_stay_distinct(sf, big):
+    # The plus-semifield tolerance is absolute, so integers that differ by
+    # one stay apart at any magnitude, and the default eps is that rule.
+    s = -1.0 if sf.minimize else 1.0
+    above, at = s * (big + 1), s * big
+    assert not sf.leq(above, at)
+    assert not sf.eq(above, at)
+    assert sf.leq(above, at) == sf.leq(above, at, sf.default_eps)
+
+    report = t.solve_box_constrained(
+        t.tvector(sf, [0, 0]), t.tvector(sf, [0, 0]),
+        t.tvector(sf, [above, at]), t.tvector(sf, [at, at]),
+    )
+    assert isinstance(report, t.InfeasibilityReport)
+    assert report.reason is t.InfeasibleReason.BOUNDS_INCOMPATIBLE
+
+    inst = t.problem(sf, [0, 0], [0, 0], g=[at, at], h=[s * (big + 2)] * 2)
+    sol = t.solve_instance(inst)
+    assert t.contains(sol, inst, sol.x_hi)
+    assert not t.contains(sol, inst, t.tvector(sf, [s * (big + 3)] * 2))
 
 
 @pytest.mark.parametrize("n", [2, 6])
