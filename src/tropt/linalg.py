@@ -153,10 +153,11 @@ class TropicalMatrix:
         """
         self._require_square("star")
         n = self.rows
-        result = identity(self.sf, n)
+        eye = _identity_data(self.sf, n)
         plus = _kernels.closure(self.data, self.sf.minimize, self.sf.times)
         if plus is not None:
-            return TropicalMatrix(self.sf, self.sf.add(plus, result.data), _trusted=True)
+            return TropicalMatrix(self.sf, self.sf.add(plus, eye), _trusted=True)
+        result = TropicalMatrix(self.sf, eye, _trusted=True)
         base = result + self
         e = n - 1
         while e:
@@ -257,6 +258,10 @@ def zeros(sf: Semifield, rows: int, cols: int = 1) -> TropicalMatrix:
 
 
 def identity(sf: Semifield, n: int) -> TropicalMatrix:
+    return TropicalMatrix(sf, _identity_data(sf, n), _trusted=True)
+
+
+def _identity_data(sf: Semifield, n: int) -> np.ndarray:
     arr = np.full((n, n), sf.zero)
     np.fill_diagonal(arr, sf.one)
-    return TropicalMatrix(sf, arr, _trusted=True)
+    return arr

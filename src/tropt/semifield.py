@@ -73,8 +73,14 @@ class Semifield:
     # -- carrier checks -------------------------------------------------
 
     def validate(self, values) -> None:
-        """Raise DomainError if any value lies outside the carrier."""
+        """Raise DomainError if any value lies outside the carrier.
+
+        Valid input costs one comparison pass; the branches below run only
+        to name what is wrong.
+        """
         arr = np.asarray(values, dtype=np.float64)
+        if self._in_carrier(arr):
+            return
         if np.isnan(arr).any():
             raise DomainError(f"{self.tag}: NaN is not a semifield value")
         if self.times:
@@ -90,6 +96,14 @@ class Semifield:
             bad = np.isneginf(arr) if self.minimize else np.isposinf(arr)
             if bad.any():
                 raise DomainError(f"{self.tag}: value outside carrier")
+
+    def _in_carrier(self, arr) -> bool:
+        """Whether every value lies in the carrier; NaN fails every comparison."""
+        if self.times:
+            inside = arr > 0 if self.minimize else (arr >= 0) & (arr < _INF)
+        else:
+            inside = arr > -_INF if self.minimize else arr < _INF
+        return bool(inside.all())
 
     def is_zero(self, a):
         return np.asarray(a) == self.zero if isinstance(a, np.ndarray) else a == self.zero

@@ -11,6 +11,12 @@ regular vectors x, under increasingly rich constraint sets:
 Each solver returns the optimum together with the full parametric family
 of optimizers {generator @ u : u_lo <= u <= u_hi}, or an
 :class:`InfeasibilityReport` when the constraints admit no regular point.
+
+One core, :func:`_solve`, evaluates the general closed form on the raw
+arrays; the first three solvers are their precondition checks plus a call
+to it, with the absent parts left out (an absent B makes B* the identity).
+The inputs were validated when their matrices were built, so a solve
+checks the carrier only on its results, as it wraps them.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _kernels
 from .errors import DimensionError, DomainError, SemifieldMismatchError, TroptError
 from .linalg import TropicalMatrix, identity, tvector, zeros
 from .semifield import Semifield, TropicalScalar
@@ -90,22 +99,7 @@ class ProblemInstance:
     B: TropicalMatrix | None = None
 
     def __post_init__(self):
-        n = self.p.rows
-        if not self.p.is_column:
-            raise DimensionError("p must be a column vector")
-        for name in ("p", "q", "g", "h"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if v.sf is not self.sf:
-                raise SemifieldMismatchError(f"{name} has semifield {v.sf.tag}")
-            if not v.is_column or v.rows != n:
-                raise DimensionError(f"{name} must be a column vector of length {n}")
-        if self.B is not None:
-            if self.B.sf is not self.sf:
-                raise SemifieldMismatchError(f"B has semifield {self.B.sf.tag}")
-            if not self.B.is_square or self.B.rows != n:
-                raise DimensionError(f"B must be {n}x{n}, got {self.B.shape}")
+        _check_operands(self.sf, self.p, self.q, self.g, self.h, self.B)
 
     @property
     def n(self) -> int:
@@ -143,27 +137,104 @@ def objective(p: TropicalMatrix, q: TropicalMatrix, x: TropicalMatrix) -> Tropic
     return a + b
 
 
-def _check_one(sf, value: TropicalScalar) -> bool:
-    return value <= sf.scalar(sf.one)
+def _check_operands(sf, p, q, g, h, B) -> None:
+    """Every vector is a column of p's length over sf, and B is square to match."""
+    n = p.rows
+    if not p.is_column:
+        raise DimensionError("p must be a column vector")
+    for name, v in (("p", p), ("q", q), ("g", g), ("h", h)):
+        if v is None:
+            continue
+        if v.sf is not sf:
+            raise SemifieldMismatchError(f"{name} has semifield {v.sf.tag}")
+        if not v.is_column or v.rows != n:
+            raise DimensionError(f"{name} must be a column vector of length {n}")
+    if B is not None:
+        if B.sf is not sf:
+            raise SemifieldMismatchError(f"B has semifield {B.sf.tag}")
+        if not B.is_square or B.rows != n:
+            raise DimensionError(f"B must be {n}x{n}, got {B.shape}")
 
 
-def _h_conj(sf, h: TropicalMatrix | None, n: int) -> TropicalMatrix:
-    """conj(h) as a row, with absent h contributing nothing to any sum."""
-    if h is None:
-        return zeros(sf, 1, n)
-    if not h.is_regular():
-        raise DomainError("h must be regular")
-    return h.conj()
+def _require_regular(**vectors) -> None:
+    for name, v in vectors.items():
+        if not v.is_regular():
+            raise DomainError(f"{name} must be regular")
 
 
-def _finish(sf, theta, gen, u_lo, u_hi) -> SolutionSet:
-    if not u_lo.leq(u_hi):
+def _require_nonzero(p: TropicalMatrix) -> None:
+    if p.is_zero():
+        raise DomainError("p must be non-zero")
+
+
+def _solve(B, p, q, g, h) -> SolutionSet | InfeasibilityReport:
+    """The general closed form; B, g and h may be None.
+
+    With B* the Kleene star of B (the identity when B is absent):
+    theta = sqrt(conj(q) B* p) + conj(h) B* p + conj(q) B* g, the u-box is
+    g + p/theta <= u <= conj((conj(h) + conj(q)/theta) B*), and x = B* u.
+    Feasible when the cycle condition holds and conj(h) B* g <= one.
+    """
+    sf = p.sf
+    _check_operands(sf, p, q, g, h, B)
+    n = p.rows
+
+    def mm(a, b):
+        return _kernels.matmul(a, b, sf.minimize, sf.times)
+
+    if B is None:
+        gen = bstar = None
+    else:
+        cone = solve_ax_plus_b_le_x(B, g if g is not None else zeros(sf, n))
+        if isinstance(cone, Infeasible):
+            return InfeasibilityReport(InfeasibleReason.TR_EXCEEDS_ONE, cone.power_trace)
+        gen = cone.generator
+        bstar = gen.data
+
+    qc = sf.inv(q.data.T)
+    hc = np.full_like(qc, sf.zero) if h is None else sf.inv(h.data.T)
+    rows = np.concatenate((qc, hc))  # conj(q) and conj(h), or that times B*
+    if bstar is not None:
+        rows = mm(rows, bstar)
+    cols = np.concatenate((p.data, np.full_like(p.data, sf.zero) if g is None else g.data), axis=1)
+    terms = mm(rows, cols)  # [[q- B* p, q- B* g], [h- B* p, h- B* g]]
+
+    box = terms[1, 1]
+    if not sf.leq(box, sf.one):
+        return InfeasibilityReport(InfeasibleReason.BOUNDS_INCOMPATIBLE, sf.scalar(box))
+
+    # Results go through their checking constructors as soon as they are
+    # known: in the times semifields a product of carrier values can
+    # overflow to +inf or underflow to 0.0.
+    theta = sf.scalar(sf.add(sf.add(sf.sqrt(terms[0, 0]), terms[1, 0]), terms[0, 1]))
+    theta_inv = sf.inv(theta.value)
+    lo = sf.mul(theta_inv, p.data)
+    if g is not None:
+        lo = sf.add(g.data, lo)
+    hi_conj = sf.add(hc, sf.mul(theta_inv, qc))
+    if bstar is not None:
+        hi_conj = mm(hi_conj, bstar)
+    u = np.concatenate((lo, sf.inv(hi_conj).T), axis=1)  # the columns u_lo, u_hi
+    return _finish(sf, theta, gen, u)
+
+
+def _finish(sf, theta, gen, u) -> SolutionSet:
+    """Wrap the u-box ends (the columns of u) and their images under gen.
+
+    gen is B*, or None for the identity, whose images are u itself.
+    """
+    u_lo, u_hi = (TropicalMatrix(sf, u[:, k]) for k in (0, 1))
+    if not sf.leq(u[:, 0], u[:, 1]).all():
         # The feasibility checks above rule this out mathematically; a
         # violation here means float drift, which must not pass silently.
         raise TroptError(
             f"internal: solution box collapsed, u_lo={u_lo.tolist()} u_hi={u_hi.tolist()}"
         )
-    return SolutionSet(theta, gen, u_lo, u_hi, gen @ u_lo, gen @ u_hi)
+    if gen is None:
+        return SolutionSet(theta, identity(sf, u.shape[0]), u_lo, u_hi, u_lo, u_hi)
+    x = _kernels.matmul(gen.data, u, sf.minimize, sf.times)
+    x_lo, x_hi = (TropicalMatrix(sf, x[:, k]) for k in (0, 1))
+    return SolutionSet(theta, gen, u_lo, u_hi, x_lo, x_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -173,55 +244,25 @@ def _finish(sf, theta, gen, u_lo, u_hi) -> SolutionSet:
 
 def solve_unconstrained(p: TropicalMatrix, q: TropicalMatrix) -> SolutionSet:
     """Minimize the objective with no constraints; p and q must be regular."""
-    if not p.is_regular():
-        raise DomainError("p must be regular")
-    if not q.is_regular():
-        raise DomainError("q must be regular")
-    sf = p.sf
-    theta = (q.conj() @ p).as_scalar().sqrt()
-    u_lo = p.scale(theta.inv())
-    u_hi = q.scale(theta)
-    return _finish(sf, theta, identity(sf, p.rows), u_lo, u_hi)
+    _require_regular(p=p, q=q)
+    return _solve(None, p, q, None, None)
 
 
 def solve_linear_constrained(
     B: TropicalMatrix, p: TropicalMatrix, q: TropicalMatrix
 ) -> SolutionSet | InfeasibilityReport:
     """Minimize under B x <= x; p non-zero, q regular."""
-    sf = p.sf
-    if p.is_zero():
-        raise DomainError("p must be non-zero")
-    if not q.is_regular():
-        raise DomainError("q must be regular")
-    cone = solve_ax_plus_b_le_x(B, zeros(sf, p.rows))
-    if isinstance(cone, Infeasible):
-        return InfeasibilityReport(InfeasibleReason.TR_EXCEEDS_ONE, cone.power_trace)
-    bstar = cone.generator
-    qb = q.conj() @ bstar
-    theta = (qb @ p).as_scalar().sqrt()
-    u_lo = p.scale(theta.inv())
-    u_hi = qb.conj().scale(theta)
-    return _finish(sf, theta, bstar, u_lo, u_hi)
+    _require_nonzero(p)
+    _require_regular(q=q)
+    return _solve(B, p, q, None, None)
 
 
 def solve_box_constrained(
     p: TropicalMatrix, q: TropicalMatrix, g: TropicalMatrix, h: TropicalMatrix
 ) -> SolutionSet | InfeasibilityReport:
     """Minimize under g <= x <= h; all four vectors regular."""
-    sf = p.sf
-    for name, v in (("p", p), ("q", q), ("g", g), ("h", h)):
-        if not v.is_regular():
-            raise DomainError(f"{name} must be regular")
-    hc = h.conj()
-    if not g.leq(h):
-        return InfeasibilityReport(
-            InfeasibleReason.BOUNDS_INCOMPATIBLE, (hc @ g).as_scalar()
-        )
-    qc = q.conj()
-    theta = (qc @ p).as_scalar().sqrt() + (hc @ p).as_scalar() + (qc @ g).as_scalar()
-    u_lo = g + p.scale(theta.inv())
-    u_hi = (hc + qc.scale(theta.inv())).conj()
-    return _finish(sf, theta, identity(sf, p.rows), u_lo, u_hi)
+    _require_regular(p=p, q=q, g=g, h=h)
+    return _solve(None, p, q, g, h)
 
 
 def solve_general(
@@ -237,31 +278,11 @@ def solve_general(
     parts default as in :class:`ProblemInstance`.  Feasibility requires
     the cycle condition on B and conj(h) B* g at most one.
     """
-    sf = p.sf
-    n = p.rows
-    if p.is_zero():
-        raise DomainError("p must be non-zero")
-    if not q.is_regular():
-        raise DomainError("q must be regular")
-    if B is None:
-        B = zeros(sf, n, n)
-    if g is None:
-        g = zeros(sf, n)
-    cone = solve_ax_plus_b_le_x(B, g)
-    if isinstance(cone, Infeasible):
-        return InfeasibilityReport(InfeasibleReason.TR_EXCEEDS_ONE, cone.power_trace)
-    bstar = cone.generator
-    hc = _h_conj(sf, h, n)
-    box_cond = (hc @ bstar @ g).as_scalar()
-    if not _check_one(sf, box_cond):
-        return InfeasibilityReport(InfeasibleReason.BOUNDS_INCOMPATIBLE, box_cond)
-    qc = q.conj()
-    qb = qc @ bstar
-    hb = hc @ bstar
-    theta = (qb @ p).as_scalar().sqrt() + (hb @ p).as_scalar() + (qb @ g).as_scalar()
-    u_lo = g + p.scale(theta.inv())
-    u_hi = ((hc + qc.scale(theta.inv())) @ bstar).conj()
-    return _finish(sf, theta, bstar, u_lo, u_hi)
+    _require_nonzero(p)
+    _require_regular(q=q)
+    if h is not None:
+        _require_regular(h=h)
+    return _solve(B, p, q, g, h)
 
 
 def solve_instance(inst: ProblemInstance) -> SolutionSet | InfeasibilityReport:

@@ -68,7 +68,6 @@ def solve_ax_plus_b_le_x(A: TropicalMatrix, b: TropicalMatrix) -> ConeSolution |
         raise DimensionError(f"incompatible shapes: A {A.shape}, b {b.shape}")
     star = A.star()
     t = A.power_trace(star)
-    one = A.sf.scalar(A.sf.one)
-    if not t <= one:
+    if not A.sf.leq(t.value, A.sf.one):
         return Infeasible(t)
     return ConeSolution(star, b)

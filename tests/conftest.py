@@ -33,11 +33,20 @@ def worked(mp):
     )
 
 
+MAX_TRIES = 10_000
+MIXED_B_MAX_N = 4
+
+
 def random_feasible_instance(rng, n, *, with_box=True, mixed_B=False):
     """Integer max-plus instance with entries in [-10, 10] that is feasible
     by construction: rejection sampling rules out positive cycles in B and,
-    when box bounds are present, violations of the closure condition."""
-    while True:
+    when box bounds are present, violations of the closure condition.
+
+    With ``mixed_B`` the share of draws without a positive cycle falls fast
+    with n (about 10% at n = 3, 0.7% at n = 4, 0.02% at n = 5), so the
+    sampling gives up after MAX_TRIES draws; n <= MIXED_B_MAX_N is safe.
+    """
+    for _ in range(MAX_TRIES):
         if mixed_B:
             B = rng.integers(-10, 11, size=(n, n)).astype(float)
             np.fill_diagonal(B, rng.integers(-10, 1, size=n))
@@ -53,6 +62,11 @@ def random_feasible_instance(rng, n, *, with_box=True, mixed_B=False):
             if (bstar - h[:, None] + g[None, :]).max() > 0:
                 continue
         break
+    else:
+        raise RuntimeError(
+            f"no feasible draw in {MAX_TRIES} tries at n = {n}; random_feasible_instance "
+            f"with mixed_B=True supports n <= {MIXED_B_MAX_N}"
+        )
     p = rng.integers(-10, 11, size=n).astype(float)
     q = rng.integers(-10, 11, size=n).astype(float)
     return dict(B=B, p=p, q=q, g=g, h=h)

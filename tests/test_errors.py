@@ -1,0 +1,106 @@
+"""Error classes and messages for invalid input, and the carrier check on results.
+
+The messages are pinned verbatim: callers and the CLI report them as they are.
+"""
+
+import numpy as np
+import pytest
+
+import tropt as t
+from tropt.errors import DomainError
+
+NAN, INF = float("nan"), float("inf")
+
+# (semifield, bad value, message of Semifield.validate)
+BAD_VALUES = [
+    (t.MAX_PLUS, NAN, "max-plus: NaN is not a semifield value"),
+    (t.MAX_PLUS, INF, "max-plus: value outside carrier"),
+    (t.MIN_PLUS, NAN, "min-plus: NaN is not a semifield value"),
+    (t.MIN_PLUS, -INF, "min-plus: value outside carrier"),
+    (t.MAX_TIMES, NAN, "max-times: NaN is not a semifield value"),
+    (t.MAX_TIMES, INF, "max-times: +inf is not a max-times value"),
+    (t.MAX_TIMES, -INF, "max-times: values must be nonnegative"),
+    (t.MAX_TIMES, -1.0, "max-times: values must be nonnegative"),
+    (t.MIN_TIMES, NAN, "min-times: NaN is not a semifield value"),
+    (t.MIN_TIMES, -INF, "min-times: values must be nonnegative"),
+    (t.MIN_TIMES, -1.0, "min-times: values must be nonnegative"),
+    (t.MIN_TIMES, 0.0, "min-times: finite values must be positive"),
+    (t.MIN_TIMES, -0.0, "min-times: finite values must be positive"),
+]
+
+
+@pytest.mark.parametrize("sf, bad, message", BAD_VALUES,
+                         ids=[f"{sf.tag}-{bad!r}" for sf, bad, _ in BAD_VALUES])
+def test_invalid_values_are_named(sf, bad, message):
+    def raises(build):
+        with pytest.raises(DomainError) as info:
+            build()
+        assert type(info.value) is DomainError
+        assert str(info.value) == message
+
+    raises(lambda: sf.validate(bad))
+    raises(lambda: sf.validate(np.array([[sf.one, bad], [sf.zero, sf.one]])))
+    raises(lambda: t.tvector(sf, [sf.one, bad]))
+    raises(lambda: t.TropicalScalar(bad, sf))
+
+
+@pytest.mark.parametrize("sf, values, message", [
+    (t.MAX_TIMES, [-1.0, INF, NAN], "max-times: NaN is not a semifield value"),
+    (t.MAX_TIMES, [INF, -1.0], "max-times: values must be nonnegative"),
+    (t.MIN_TIMES, [0.0, -1.0], "min-times: values must be nonnegative"),
+])
+def test_the_first_failing_rule_names_the_error(sf, values, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        sf.validate(values)
+
+
+@pytest.mark.parametrize("sf", t.SEMIFIELDS.values(), ids=lambda sf: sf.tag)
+def test_solver_preconditions_are_named(sf):
+    one, zero = sf.one, sf.zero
+    good = t.tvector(sf, [one, one])
+    gap = t.tvector(sf, [one, zero])
+    none = t.tvector(sf, [zero, zero])
+    B = t.tmatrix(sf, [[one, zero], [zero, one]])
+    cases = [
+        (lambda: t.solve_unconstrained(gap, good), "p must be regular"),
+        (lambda: t.solve_unconstrained(good, gap), "q must be regular"),
+        (lambda: t.solve_linear_constrained(B, none, good), "p must be non-zero"),
+        (lambda: t.solve_linear_constrained(B, good, gap), "q must be regular"),
+        (lambda: t.solve_box_constrained(gap, good, good, good), "p must be regular"),
+        (lambda: t.solve_box_constrained(good, gap, good, good), "q must be regular"),
+        (lambda: t.solve_box_constrained(good, good, gap, good), "g must be regular"),
+        (lambda: t.solve_box_constrained(good, good, good, gap), "h must be regular"),
+        (lambda: t.solve_general(B, none, good), "p must be non-zero"),
+        (lambda: t.solve_general(B, good, gap), "q must be regular"),
+        (lambda: t.solve_general(None, good, good, None, gap), "h must be regular"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert type(info.value) is DomainError
+        assert str(info.value) == message
+
+
+# Products of carrier values can leave the carrier: in max-times they
+# overflow to +inf, in min-times they underflow to 0.0.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sf, p, q, B, h", [
+    (t.MAX_TIMES, [1e300], [1e-300], None, [1e301]),  # theta overflows
+    (t.MIN_TIMES, [1e-300], [1e300], None, [1e-301]),  # theta underflows
+    (t.MAX_TIMES, [1.0, 1e200], [1e-200, 1e-200], [[1.0, 1e300], [0.0, 1.0]], None),
+    (t.MIN_TIMES, [1.0, 1e-200], [1e200, 1e200], [[1.0, 1e-300], [INF, 1.0]], None),
+], ids=["max-times-theta", "min-times-theta", "max-times-through-B", "min-times-through-B"])
+def test_results_outside_the_carrier_raise(sf, p, q, B, h):
+    p, q = t.tvector(sf, p), t.tvector(sf, q)
+    if B is None:
+        g, h = t.tvector(sf, [sf.one]), t.tvector(sf, h)
+        calls = [lambda: t.solve_general(None, p, q),
+                 lambda: t.solve_general(None, p, q, g, h),
+                 lambda: t.solve_unconstrained(p, q),
+                 lambda: t.solve_box_constrained(p, q, g, h)]
+    else:
+        B = t.tmatrix(sf, B)
+        calls = [lambda: t.solve_general(B, p, q), lambda: t.solve_linear_constrained(B, p, q)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()

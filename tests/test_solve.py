@@ -1,12 +1,16 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
 import tropt as t
+from tropt import _kernels
 from tropt.errors import DomainError, TroptError
+from tropt.linalg import TropicalMatrix
+from tropt.semifield import Semifield
 
-from conftest import as_instance, random_feasible_instance, theta_forms_agree
+from conftest import MIXED_B_MAX_N, as_instance, random_feasible_instance, theta_forms_agree
 
 
 class TestUnconstrained:
@@ -202,16 +206,21 @@ class TestThetaForms:
             theta_forms_agree(B, v, v)
 
 
-def _translate(raw, sf):
-    """Map a max-plus instance onto another semifield, order-faithfully."""
+def _translate(raw, sf, *, pow2=False):
+    """Map a max-plus instance onto another semifield, order-faithfully.
+
+    The times semifields get exp(+-a/8), or 2**(+-a) with ``pow2``, which
+    keeps integer data exact.
+    """
     if sf is t.MAX_PLUS:
         conv = lambda a: a
     elif sf is t.MIN_PLUS:
         conv = lambda a: -np.asarray(a, dtype=float)
     elif sf is t.MAX_TIMES:
-        conv = lambda a: np.exp(np.asarray(a, dtype=float) / 8)
+        conv = lambda a: np.exp2(a) if pow2 else np.exp(np.asarray(a, dtype=float) / 8)
     else:
-        conv = lambda a: np.exp(-np.asarray(a, dtype=float) / 8)
+        conv = lambda a: (np.exp2(-np.asarray(a, dtype=float)) if pow2
+                          else np.exp(-np.asarray(a, dtype=float) / 8))
     out = {k: None if v is None else conv(v) for k, v in raw.items()}
     return as_instance(sf, out)
 
@@ -251,3 +260,65 @@ def test_membership_disagreement_raises(worked, mp):
     bad = t.SolutionSet(sol.theta, sol.generator, sol.u_hi, sol.u_hi, sol.x_hi, sol.x_hi)
     with pytest.raises(TroptError):
         t.contains(bad, inst, sol.x_lo)
+
+
+@pytest.mark.parametrize("sf", [t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES], ids=lambda sf: sf.tag)
+def test_wrappers_specialize_general_in_every_semifield(sf):
+    # TestSpecialization in the other three semifields, on exact data, with
+    # infeasible draws included: reports must agree in reason and detail too.
+    rng = np.random.default_rng(38)
+    outcomes = collections.Counter()
+    for _ in range(150):
+        n = int(rng.integers(1, 5))
+        B = rng.integers(-12, 3, size=(n, n)).astype(float)
+        B[rng.random((n, n)) < 0.3] = -np.inf
+        raw = dict(
+            p=rng.integers(-10, 11, size=n), q=rng.integers(-10, 11, size=n),
+            g=rng.integers(-10, 4, size=n), h=rng.integers(-3, 11, size=n), B=B,
+        )
+        inst = _translate(raw, sf, pow2=True)
+        p, q, g, h, B = inst.p, inst.q, inst.g, inst.h, inst.B
+        pairs = [
+            (t.solve_unconstrained(p, q), t.solve_general(None, p, q)),
+            (t.solve_linear_constrained(B, p, q), t.solve_general(B, p, q)),
+            (t.solve_box_constrained(p, q, g, h), t.solve_general(None, p, q, g, h)),
+        ]
+        for special, general in pairs:
+            assert special == general
+            outcomes[getattr(special, "reason", None)] += 1
+    assert set(outcomes) == {None, *t.InfeasibleReason}
+
+
+def test_small_solve_checks_only_its_results(worked, monkeypatch):
+    # Inputs are validated when they are built.  A solve checks the carrier
+    # of its results only: theta, the four box ends and the cycle-test value.
+    # It builds few matrices and needs only the vector products.
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Semifield, "validate", counting("validate", Semifield.validate))
+    monkeypatch.setattr(TropicalMatrix, "__init__", counting("construct", TropicalMatrix.__init__))
+    monkeypatch.setattr(_kernels, "matmul", counting("matmul", _kernels.matmul))
+    monkeypatch.setattr(_kernels, "closure", counting("closure", _kernels.closure))
+    p, q, g, h, B = (worked[k] for k in "pqghB")
+    sol = t.solve_general(B, p, q, g, h)
+    assert sol.theta.value == 14
+    assert counts["validate"] == 6
+    assert counts["construct"] <= 6
+    assert counts["matmul"] <= 4
+    assert counts["closure"] == 1
+
+    counts.clear()
+    assert isinstance(t.solve_unconstrained(p, q), t.SolutionSet)
+    assert isinstance(t.solve_box_constrained(p, q, g, h), t.SolutionSet)
+    assert counts["closure"] == 0
+
+
+def test_mixed_draws_stop_at_the_size_limit():
+    with pytest.raises(RuntimeError, match=f"supports n <= {MIXED_B_MAX_N}"):
+        random_feasible_instance(np.random.default_rng(0), 6, mixed_B=True)
