@@ -13,9 +13,9 @@ import sys
 import numpy as np
 
 from .errors import TroptError
-from .location import to_general_problem
+from .linalg import tvector
 from .oracle import GridSpec, brute_force_min, default_grid
-from .probfile import ParsedProblem, dump_json, load_problem, report_dict, solve_parsed
+from .probfile import dump_json, load_problem, report_dict, solve_parsed
 from .semifield import SEMIFIELDS
 from .solve import InfeasibilityReport, contains, solve_instance
 from .svg import render_svg
@@ -34,10 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="problem file (JSON)")
         p.add_argument("--semifield", choices=sorted(SEMIFIELDS),
                        help="override the file's semifield tag")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="comparison tolerance: absolute in max-plus/min-plus, relative "
-                            "in max-times/min-times; 0 is exact (default: 1e-9; "
-                            "env TROPT_EPSILON)")
         p.add_argument("--out", help="write output here instead of stdout")
 
     p_solve = sub.add_parser("solve", help="solve a problem file and report the solution")
@@ -45,6 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check the solver against the grid oracle")
     common(p_verify)
+    p_verify.add_argument("--epsilon", type=float, default=None,
+                          help="comparison tolerance: absolute in max-plus/min-plus, relative "
+                               "in max-times/min-times; 0 is exact (default: 1e-9; "
+                               "env TROPT_EPSILON)")
     p_verify.add_argument("--grid-step", type=float, default=0.5)
     p_verify.add_argument("--grid-lo", help="comma-separated lower grid bounds")
     p_verify.add_argument("--grid-hi", help="comma-separated upper grid bounds")
@@ -81,12 +81,6 @@ def _parse_bound(raw: str | None, n: int, name: str):
     return np.array(vals)
 
 
-def _general_instance(parsed: ParsedProblem):
-    if parsed.problem_type == "location":
-        return to_general_problem(parsed.location)
-    return parsed.instance
-
-
 def _cmd_solve(args) -> int:
     parsed = load_problem(args.file, semifield_override=args.semifield)
     result = solve_parsed(parsed)
@@ -97,8 +91,9 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     parsed = load_problem(args.file, semifield_override=args.semifield)
     eps = _epsilon(args)
-    inst = _general_instance(parsed)
-    result = solve_instance(inst)
+    inst = parsed.instance
+    # contains() needs a SolutionSet, so a location file takes the general solve
+    result = solve_instance(inst) if parsed.location is not None else solve_parsed(parsed)
 
     lo = _parse_bound(args.grid_lo, inst.n, "--grid-lo")
     hi = _parse_bound(args.grid_hi, inst.n, "--grid-hi")
@@ -125,7 +120,7 @@ def _cmd_verify(args) -> int:
         theta = result.theta
         agree = (not oracle.empty) and oracle.min_value.eq(theta, eps)
         members = all(
-            contains(result, inst, _as_vec(inst, x), eps) for x in oracle.argmins
+            contains(result, inst, tvector(inst.sf, x), eps) for x in oracle.argmins
         ) if agree else False
         report["solver_theta"] = theta.value
         report["oracle_min"] = None if oracle.empty else oracle.min_value.value
@@ -145,12 +140,6 @@ def _cmd_verify(args) -> int:
 
 def _fmt_theta(v: float) -> str:
     return str(int(v)) if v == int(v) else f"{v:.12g}"
-
-
-def _as_vec(inst, values):
-    from .linalg import tvector
-
-    return tvector(inst.sf, values)
 
 
 def _cmd_plot(args) -> int:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProblemFileError, TroptError
-from .linalg import tmatrix, tvector
 from .location import (
     LocationInstance,
     LocationSolution,
@@ -37,6 +36,7 @@ from .solve import (
     InfeasibilityReport,
     ProblemInstance,
     SolutionSet,
+    problem,
     solve_box_constrained,
     solve_general,
     solve_linear_constrained,
@@ -58,9 +58,16 @@ PROBLEM_TYPES = ("unconstrained", "linear", "box", "general", "location")
 
 @dataclass(frozen=True)
 class ParsedProblem:
+    """A validated problem file.
+
+    ``instance`` is the general form of every file; for a location file it
+    is the reduction ``to_general_problem(location)``, and ``location``
+    keeps the points and weights (it is None for the other types).
+    """
+
     problem_type: str
     sf: Semifield
-    instance: ProblemInstance | None = None
+    instance: ProblemInstance
     location: LocationInstance | None = None
 
 
@@ -184,20 +191,12 @@ def parse_problem(doc, *, semifield_override: str | None = None) -> ParsedProble
                 np.array(pts), np.array(w),
                 B=_opt_arr(get_mat("B")), g=_opt_arr(get_vec("g")), h=_opt_arr(get_vec("h")),
             )
-            return ParsedProblem(ptype, sf, location=loc)
+            return ParsedProblem(ptype, sf, to_general_problem(loc), loc)
 
-        p = tvector(sf, get_vec("p"))
-        q = tvector(sf, get_vec("q"))
-        g = get_vec("g")
-        h = get_vec("h")
-        B = get_mat("B")
-        inst = ProblemInstance(
-            sf, p, q,
-            g=None if g is None else tvector(sf, g),
-            h=None if h is None else tvector(sf, h),
-            B=None if B is None else tmatrix(sf, B),
+        inst = problem(
+            sf, get_vec("p"), get_vec("q"), g=get_vec("g"), h=get_vec("h"), B=get_mat("B")
         )
-        return ParsedProblem(ptype, sf, instance=inst)
+        return ParsedProblem(ptype, sf, inst)
     except ProblemFileError:
         raise
     except TroptError as exc:

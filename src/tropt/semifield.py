@@ -50,17 +50,14 @@ class Semifield:
     multiplication as the multiplicative one.
     """
 
-    __slots__ = ("kind", "minimize", "times", "zero", "one", "top", "default_eps")
+    __slots__ = ("kind", "minimize", "times", "zero", "one", "default_eps")
 
-    def __init__(self, kind, *, minimize, times, zero, one, top, default_eps):
+    def __init__(self, kind, *, minimize, times, zero, one, default_eps):
         self.kind = kind
         self.minimize = minimize
         self.times = times
         self.zero = zero
         self.one = one
-        # Greatest element in the induced order; outside the carrier, used
-        # only to encode "no upper bound" in box constraints.
-        self.top = top
         self.default_eps = default_eps
 
     @property
@@ -200,19 +197,19 @@ class Semifield:
 
 MAX_PLUS = Semifield(
     SemifieldKind.MAX_PLUS, minimize=False, times=False,
-    zero=-_INF, one=0.0, top=_INF, default_eps=1e-9,
+    zero=-_INF, one=0.0, default_eps=1e-9,
 )
 MIN_PLUS = Semifield(
     SemifieldKind.MIN_PLUS, minimize=True, times=False,
-    zero=_INF, one=0.0, top=-_INF, default_eps=1e-9,
+    zero=_INF, one=0.0, default_eps=1e-9,
 )
 MAX_TIMES = Semifield(
     SemifieldKind.MAX_TIMES, minimize=False, times=True,
-    zero=0.0, one=1.0, top=_INF, default_eps=1e-9,
+    zero=0.0, one=1.0, default_eps=1e-9,
 )
 MIN_TIMES = Semifield(
     SemifieldKind.MIN_TIMES, minimize=True, times=True,
-    zero=_INF, one=1.0, top=0.0, default_eps=1e-9,
+    zero=_INF, one=1.0, default_eps=1e-9,
 )
 
 SEMIFIELDS = {

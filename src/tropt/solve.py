@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, DomainError, SemifieldMismatchError, TroptError
-from .linalg import TropicalMatrix, identity, tvector, zeros
+from .linalg import TropicalMatrix, identity, tmatrix, tvector, zeros
 from .semifield import Semifield, TropicalScalar
 from .systems import Infeasible, solve_ax_plus_b_le_x
 
@@ -105,17 +105,9 @@ class ProblemInstance:
     def n(self) -> int:
         return self.p.rows
 
-    def g_or_zero(self) -> TropicalMatrix:
-        return self.g if self.g is not None else zeros(self.sf, self.n)
-
-    def b_or_zero(self) -> TropicalMatrix:
-        return self.B if self.B is not None else zeros(self.sf, self.n, self.n)
-
 
 def problem(sf, p, q, g=None, h=None, B=None) -> ProblemInstance:
     """Build a ProblemInstance from plain lists."""
-    from .linalg import tmatrix
-
     mk = lambda v: None if v is None else tvector(sf, v)
     return ProblemInstance(
         sf, tvector(sf, p), tvector(sf, q), g=mk(g), h=mk(h),

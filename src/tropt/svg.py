@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DomainError
 from .location import LocationSolution
 from .probfile import ParsedProblem
-from .solve import SolutionSet
 
 __all__ = ["render_svg"]
 
@@ -28,54 +27,29 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _collect_bounds(parsed: ParsedProblem, result) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = [], []
-
-    def take(pt):
-        if np.isfinite(pt[0]):
-            xs.append(float(pt[0]))
-        if np.isfinite(pt[1]):
-            ys.append(float(pt[1]))
-
-    if parsed.problem_type == "location":
-        loc = parsed.location
-        for r in loc.points:
-            take(r)
-        if loc.g is not None:
-            take(loc.g)
-        if loc.h is not None:
-            take(loc.h)
-        if isinstance(result, LocationSolution):
-            take(result.p)
-            take(result.q)
-            take(result.x_lower)
-            take(result.x_upper)
-    else:
-        inst = parsed.instance
-        take(inst.p.column_values())
-        take(inst.q.column_values())
-        if inst.g is not None:
-            take(inst.g.column_values())
-        if inst.h is not None:
-            take(inst.h.column_values())
-        if isinstance(result, SolutionSet):
-            take(result.x_lo.column_values())
-            take(result.x_hi.column_values())
-    if not xs or not ys:
-        raise DomainError("nothing finite to plot")
-    return np.array([min(xs), min(ys)]), np.array([max(xs), max(ys)])
-
-
 def render_svg(parsed: ParsedProblem, result) -> str:
     """Render one 2-D instance plus its solution as an SVG document."""
-    if parsed.problem_type == "location":
-        n = parsed.location.n
-    else:
-        n = parsed.instance.n
-    if n != 2:
-        raise DomainError(f"plotting supports dimension 2 only, got {n}")
+    inst = parsed.instance
+    if inst.n != 2:
+        raise DomainError(f"plotting supports dimension 2 only, got {inst.n}")
 
-    lo, hi = _collect_bounds(parsed, result)
+    p_vec, q_vec, g, h = (
+        None if v is None else v.column_values() for v in (inst.p, inst.q, inst.g, inst.h)
+    )
+    B = None if inst.B is None else inst.B.data
+    if isinstance(result, LocationSolution):
+        x_lo, x_hi = result.x_lower, result.x_upper
+    else:
+        x_lo, x_hi = result.x_lo.column_values(), result.x_hi.column_values()
+    points = () if parsed.location is None else parsed.location.points
+
+    # the data bounding box: per axis, over the finite coordinates shown
+    shown = np.array([v for v in (p_vec, q_vec, g, h, x_lo, x_hi, *points) if v is not None])
+    finite = np.isfinite(shown)
+    if not finite.any(axis=0).all():
+        raise DomainError("nothing finite to plot")
+    lo = np.where(finite, shown, np.inf).min(axis=0)
+    hi = np.where(finite, shown, -np.inf).max(axis=0)
     span = np.maximum(hi - lo, 1.0)
     lo = lo - 0.1 * span
     hi = hi + 0.1 * span
@@ -125,25 +99,6 @@ def render_svg(parsed: ParsedProblem, result) -> str:
     if lo[1] < 0 < hi[1]:
         line("axis", (lo[0], 0.0), (hi[0], 0.0), "#cccccc", "1")
 
-    if parsed.problem_type == "location":
-        loc = parsed.location
-        p_vec, q_vec = result.p, result.q
-        g = loc.g
-        h = loc.h
-        B = loc.B
-        x_lo, x_hi = result.x_lower, result.x_upper
-        points = loc.points
-    else:
-        inst = parsed.instance
-        p_vec = inst.p.column_values()
-        q_vec = inst.q.column_values()
-        g = None if inst.g is None else inst.g.column_values()
-        h = None if inst.h is None else inst.h.column_values()
-        B = None if inst.B is None else inst.B.data
-        x_lo = result.x_lo.column_values()
-        x_hi = result.x_hi.column_values()
-        points = None
-
     # enclosing rectangle spanned by q and p
     rect("pq-rect", q_vec, p_vec, "#888888")
 
@@ -160,9 +115,8 @@ def render_svg(parsed: ParsedProblem, result) -> str:
     if g is not None and h is not None and np.isfinite(g).all() and np.isfinite(h).all():
         rect("bounds-rect", g, h, "#22aa55", dash="4 3")
 
-    if points is not None:
-        for r in points:
-            marker("demand-point", r, "#000000")
+    for r in points:
+        marker("demand-point", r, "#000000")
 
     if float(x_lo[0]) == float(x_hi[0]) and float(x_lo[1]) == float(x_hi[1]):
         marker("solution-point", x_lo, "#cc2222")

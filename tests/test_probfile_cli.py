@@ -20,6 +20,8 @@ from tropt.probfile import (
 from tropt.svg import render_svg
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
 
 
 class TestParsing:
@@ -210,6 +212,27 @@ class TestCliVerify:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and doc["status"] == "agree"
 
+    @pytest.mark.parametrize("command", ["solve", "plot"])
+    def test_epsilon_is_a_verify_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(PROBLEMS / "general.json"), "--epsilon", "123"])
+        assert exc.value.code == 2
+        assert "--epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"problem": "box", "p": [3, 14], "q": [-12, -4], "g": [2, "-inf"], "h": [6, 8]},
+        {"problem": "unconstrained", "p": [3, "-inf"], "q": [-12, -4]},
+    ])
+    def test_verify_checks_declared_type(self, doc, tmp_path, capsys):
+        # verify solves with the declared type's solver, so it rejects what solve rejects
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc))
+        assert main(["solve", str(f)]) == 2
+        solve_err = capsys.readouterr().err
+        assert "must be regular" in solve_err
+        assert main(["verify", str(f)]) == 2
+        assert capsys.readouterr().err == solve_err
+
 
 def _svg_elements(text, cls):
     root = ET.fromstring(text)
@@ -271,3 +294,19 @@ class TestCliPlot:
         parsed = parse_problem({"problem": "unconstrained", "p": [1, 2, 3], "q": [0, 0, 0]})
         with pytest.raises(t.DomainError):
             render_svg(parsed, solve_parsed(parsed))
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CODES))
+def test_golden_output(key, capsys):
+    """stdout and exit code of each command on each worked example, byte for byte.
+
+    The files under tests/golden/ hold the output of ``tropt <command>
+    problems/<name>.json``: ``<name>.<command>.json``, or ``.svg`` for a
+    plot, plus the exit codes in ``exit_codes.json``.
+    """
+    name, command = key.split()
+    code = main([command, str(PROBLEMS / f"{name}.json")])
+    out, err = capsys.readouterr()
+    (expected,) = GOLDEN.glob(f"{name}.{command}.*")
+    assert (code, err) == (GOLDEN_CODES[key], "")
+    assert out == expected.read_text(encoding="utf-8")
