@@ -1,4 +1,4 @@
-"""Numeric inner kernels: tropical matrix product, closure and the oracle grid scan.
+"""Numeric inner kernels: tropical products, closure, cycle trace and the oracle grid scan.
 
 The kernels work on raw float64 encodings.  Within a semifield carrier the
 naive float operations are exact: opposite infinities never meet, so no
@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["matmul", "closure", "grid_scan"]
+__all__ = ["matmul", "product_trace", "closure", "cycle_trace", "grid_scan"]
 
 
 def matmul(a, b, minimize, times):
     """(m,n) x (n,l) tropical product via broadcasting."""
     combined = a[:, :, None] * b[None, :, :] if times else a[:, :, None] + b[None, :, :]
     return combined.min(axis=1) if minimize else combined.max(axis=1)
+
+
+def product_trace(a, b, minimize, times):
+    """Trace of the square product a b, read in O(n^2) as the sum of a_ik b_ki."""
+    walks = a * b.T if times else a + b.T
+    return float(walks.min() if minimize else walks.max())
 
 
 def closure(a, minimize, times):
@@ -25,18 +31,55 @@ def closure(a, minimize, times):
     Returns None as soon as a diagonal entry exceeds the semifield one
     (exact comparison, as in :func:`grid_scan`): a cycle heavier than one
     makes the closure diverge, and further pivots would square its weight
-    until the floats overflow or underflow out of the carrier.
+    until the floats overflow or underflow out of the carrier.  Before
+    pivot k only d_kk is tested: it then holds the heaviest closed walk
+    through k over the lower pivots, so a heavy cycle shows there at its
+    highest node.
     """
     d = np.array(a, dtype=np.float64, copy=True)
     better = np.minimum if minimize else np.maximum
     outer = np.multiply.outer if times else np.add.outer
     one = 1.0 if times else 0.0
-    diag = np.diagonal(d)  # a read-only view: it follows the updates to d
+    through = np.empty_like(d)
     for k in range(d.shape[0]):
-        better(d, outer(d[:, k], d[k, :]), out=d)
-        if (diag < one).any() if minimize else (diag > one).any():
+        if (d[k, k] < one) if minimize else (d[k, k] > one):
             return None
+        outer(d[:, k], d[k, :], out=through)
+        better(d, through, out=d)
+    # Rounding can leave a heavy walk on a diagonal entry whose pivot has
+    # passed; one last look keeps the verdict of a test after every pivot.
+    diag = np.diagonal(d)
+    if (diag < one).any() if minimize else (diag > one).any():
+        return None
     return d
+
+
+def cycle_trace(a, minimize, times):
+    """Trace of (I + A)^n: the heaviest closed walk of length at most n, or one.
+
+    In an idempotent semiring (I + A)^n = I + A + ... + A^n, so this is one
+    plus the power trace of A, and equals it whenever a cycle exceeds one.
+    With n = hi + lo, hi the largest power of two below n, I + A is squared
+    up to the exponent hi, the set bits of lo are multiplied out on the
+    way, and the trace of the last product is read without forming it:
+    log2(hi) + popcount(lo) - 1 products of n x n matrices.
+    """
+    n = a.shape[0]
+    better = np.minimum if minimize else np.maximum
+    power = np.array(a, dtype=np.float64, copy=True)
+    np.fill_diagonal(power, better(np.diagonal(power), 1.0 if times else 0.0))
+    if n == 1:
+        return float(power[0, 0])
+    hi = 1 << ((n - 1).bit_length() - 1)
+    lo = n - hi
+    part, k = None, 1  # power is (I + A)^k; part collects the bits of lo below 2k
+    while True:
+        if lo & k:
+            part = power if part is None else matmul(part, power, minimize, times)
+        if k == hi:
+            return product_trace(power, part, minimize, times)
+        power = matmul(power, power, minimize, times)
+        k <<= 1
 
 
 def grid_scan(X, B, g, h, p, qc, minimize, times):

@@ -121,25 +121,29 @@ class TropicalMatrix:
         return TropicalScalar(float(val), self.sf)
 
     def power_trace(self, star: "TropicalMatrix | None" = None) -> TropicalScalar:
-        """Combined trace of the powers 1..n; detects order-violating cycles.
+        """Combined trace of the powers 1..n: the heaviest closed walk of length <= n.
 
         At most one when every cycle weight is at most one; above one exactly
         when the matrix carries a cycle whose weight exceeds the semifield one.
         By A (A^0 + ... + A^(n-1)) = A + ... + A^n the value is the trace of
         A A*, read in O(n^2) as the sum over i, k of a_ik a*_ki.  ``star`` is
-        this matrix's :meth:`star`; pass it when it is already at hand, and
-        it is computed here otherwise.
+        this matrix's :meth:`star`; pass it when it is already at hand.
+        Otherwise one elimination runs here, and when it diverges the value
+        is read from (I + A)^n (:func:`_kernels.cycle_trace`), which is one
+        plus the power trace, so it is the power trace whenever that
+        exceeds one.
         """
         self._require_square("power_trace")
         if star is None:
-            star = self.star()
+            star, value = self._star_or_power_trace()
+            if star is None:
+                return value
         else:
             self._same_sf(star)
             if star.shape != self.shape:
                 raise DimensionError(f"star shape {star.shape} does not match {self.shape}")
-        walks = self.sf.mul(self.data, star.data.T)
-        val = walks.min() if self.sf.minimize else walks.max()
-        return TropicalScalar(float(val), self.sf)
+        val = _kernels.product_trace(self.data, star.data, self.sf.minimize, self.sf.times)
+        return TropicalScalar(val, self.sf)
 
     def star(self) -> "TropicalMatrix":
         """Kleene star: the sum of powers 0..n-1.
@@ -149,24 +153,50 @@ class TropicalMatrix:
         powers from n on add nothing.  Otherwise the closure diverges and
         the sum comes from binary exponentiation of I + A: in an idempotent
         semiring (I + A)^k is exactly the sum of powers 0..k, so raising to
-        the exponent n-1 reproduces the definition in O(n^3 log n).
+        the exponent n-1 reproduces the definition in O(n^3 log n).  The
+        solvers never need this divergent case: they read the power trace
+        alone, which is cheaper (:meth:`power_trace`).
         """
         self._require_square("star")
-        n = self.rows
-        eye = _identity_data(self.sf, n)
-        plus = _kernels.closure(self.data, self.sf.minimize, self.sf.times)
+        return self._star_from(_kernels.closure(self.data, self.sf.minimize, self.sf.times))
+
+    def _star_or_power_trace(self):
+        """``(star, None)``, or ``(None, power trace)`` when a cycle exceeds one.
+
+        One elimination decides.  When it diverges the power trace comes
+        from :func:`_kernels.cycle_trace`; if that lies within the default
+        tolerance of one, the cycle test passes up to rounding and the star
+        comes from squaring, as in :meth:`star`.
+        """
+        sf = self.sf
+        plus = _kernels.closure(self.data, sf.minimize, sf.times)
+        if plus is None:
+            value = _kernels.cycle_trace(self.data, sf.minimize, sf.times)
+            if not sf.leq(value, sf.one):
+                return None, TropicalScalar(value, sf)
+        return self._star_from(plus), None
+
+    def _star_from(self, plus) -> "TropicalMatrix":
+        """I plus the plus-closure, or (I + A)^(n-1) when the closure diverged.
+
+        The power is taken by square-and-multiply from the lowest set bit of
+        the exponent on, so no product is spent on the identity.
+        """
+        sf = self.sf
+        eye = _identity_data(sf, self.rows)
         if plus is not None:
-            return TropicalMatrix(self.sf, self.sf.add(plus, eye), _trusted=True)
-        result = TropicalMatrix(self.sf, eye, _trusted=True)
-        base = result + self
-        e = n - 1
+            return TropicalMatrix(sf, sf.add(plus, eye), _trusted=True)
+        base = sf.add(eye, self.data)
+        result = None
+        e = self.rows - 1
         while e:
             if e & 1:
-                result = result @ base
+                result = base if result is None else _kernels.matmul(
+                    result, base, sf.minimize, sf.times)
             e >>= 1
             if e:
-                base = base @ base
-        return result
+                base = _kernels.matmul(base, base, sf.minimize, sf.times)
+        return TropicalMatrix(sf, eye if result is None else result, _trusted=True)
 
     def conj(self) -> "TropicalMatrix":
         """Multiplicative conjugate transpose of a vector.

@@ -57,9 +57,9 @@ class InfeasibleReason(enum.Enum):
 class InfeasibilityReport:
     """Why no regular feasible point exists, with the violating scalar.
 
-    ``detail`` is the cycle-weight aggregate for TR_EXCEEDS_ONE and the
-    value of conj(h) B* g for BOUNDS_INCOMPATIBLE; in both cases it
-    strictly exceeds the semifield one.
+    ``detail`` is, for TR_EXCEEDS_ONE, the power trace of B: the heaviest
+    closed walk of length at most n; for BOUNDS_INCOMPATIBLE, the value of
+    conj(h) B* g.  In both cases it strictly exceeds the semifield one.
     """
 
     reason: InfeasibleReason

@@ -58,6 +58,9 @@ def render_svg(parsed: ParsedProblem, result) -> str:
     scale = _SIZE / max(width, height)
     tx = -lo[0] * scale
     ty = hi[1] * scale
+    # an infinite coordinate (a zero entry of p, or an end it reaches) is
+    # drawn at the viewport edge; finite ones lie inside and stay as they are
+    p_vec, q_vec, x_lo, x_hi = (np.clip(v, lo, hi) for v in (p_vec, q_vec, x_lo, x_hi))
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')

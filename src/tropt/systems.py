@@ -34,7 +34,11 @@ class ConeSolution:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """No regular solution exists; carries the violating cycle weight."""
+    """No regular solution exists.
+
+    ``power_trace`` is the heaviest closed walk of A of length at most n,
+    which exceeds the semifield one.
+    """
 
     power_trace: TropicalScalar
 
@@ -59,14 +63,17 @@ def solve_ax_plus_b_le_x(A: TropicalMatrix, b: TropicalMatrix) -> ConeSolution |
     """Solve A x + b <= x for regular x.
 
     Feasible exactly when power_trace(A) is at most the semifield one; the
-    solutions then form the cone {A* u : u >= b}.  A* is computed once and
-    serves both the cycle test and the cone.
+    solutions then form the cone {A* u : u >= b}.  One elimination decides:
+    A* comes from it when it converges and serves both the cycle test and
+    the cone, and when it diverges only the power trace is read.
     """
     if not A.is_square:
         raise DimensionError(f"A must be square, got {A.shape}")
     if not b.is_column or b.rows != A.rows:
         raise DimensionError(f"incompatible shapes: A {A.shape}, b {b.shape}")
-    star = A.star()
+    star, t = A._star_or_power_trace()
+    if star is None:
+        return Infeasible(t)
     t = A.power_trace(star)
     if not A.sf.leq(t.value, A.sf.one):
         return Infeasible(t)

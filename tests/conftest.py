@@ -82,6 +82,16 @@ def _best_cycle(B):
     return best
 
 
+def power_trace_loop(a):
+    """Reference for power_trace: tr(A) + ... + tr(A^n) from n - 1 full products."""
+    acc = a.trace().value
+    power = a
+    for _ in range(a.rows - 1):
+        power = power @ a
+        acc = float(a.sf.add(acc, power.trace().value))
+    return acc
+
+
 def as_instance(sf, raw):
     mk = lambda v: None if v is None else t.tvector(sf, v)
     return t.ProblemInstance(

@@ -1,7 +1,8 @@
 """The numpy kernels must match plain-Python loop references bit for bit.
 
-``matmul_loop`` and ``grid_scan_loop`` below compute the same results one
-element at a time, with the semifield's order written out as comparisons.
+``matmul_loop``, ``closure_loop`` and ``grid_scan_loop`` below compute the
+same results one element at a time, with the semifield's order written out
+as comparisons.
 They are slow and serve only as the reference here.
 """
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import tropt as t
-from tropt._kernels import grid_scan, matmul
+from tropt._kernels import closure, grid_scan, matmul
 
 FLAVORS = [(False, False), (True, False), (False, True), (True, True)]
 
@@ -31,6 +32,24 @@ def matmul_loop(a, b, minimize, times):
                         best = v
             out[i, j] = best
     return out
+
+
+def closure_loop(a, minimize, times):
+    """Elimination that tests the whole diagonal after every pivot."""
+    d = a.copy()
+    n = d.shape[0]
+    one = 1.0 if times else 0.0
+    for k in range(n):
+        col, row = d[:, k].copy(), d[k, :].copy()
+        for i in range(n):
+            for j in range(n):
+                v = col[i] * row[j] if times else col[i] + row[j]
+                if (v < d[i, j]) if minimize else (v > d[i, j]):
+                    d[i, j] = v
+        for i in range(n):
+            if (d[i, i] < one) if minimize else (d[i, i] > one):
+                return None
+    return d
 
 
 def grid_scan_loop(X, B, g, h, p, qc, minimize, times):
@@ -119,6 +138,26 @@ def test_matmul_with_zeros_agrees(minimize, times):
         got = matmul(a, b, minimize, times)
         assert np.array_equal(got, matmul_loop(a, b, minimize, times))
         assert not np.isnan(got).any()
+
+
+@pytest.mark.parametrize("minimize,times", FLAVORS)
+def test_closure_variants_agree(minimize, times):
+    # Integer and real-valued weights, with and without a cycle above one.
+    rng = np.random.default_rng(64)
+    verdicts = []
+    for k in range(200):
+        n = int(rng.integers(1, 8))
+        e = rng.integers(-8, 2, size=(n, n)).astype(float)
+        if k % 2:
+            e += rng.uniform(-0.5, 0.5, size=(n, n))
+        e[rng.random((n, n)) < 0.2] = -np.inf
+        e = -e if minimize else e
+        a = np.exp(e / 4) if times else e
+        got, ref = closure(a, minimize, times), closure_loop(a, minimize, times)
+        verdicts.append(ref is None)
+        assert (got is None) == (ref is None)
+        assert ref is None or np.array_equal(got, ref)
+    assert 20 < sum(verdicts) < 180
 
 
 @pytest.mark.parametrize("minimize,times", FLAVORS)

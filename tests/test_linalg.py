@@ -7,6 +7,8 @@ import tropt as t
 from tropt import _kernels
 from tropt.errors import DimensionError, DomainError, SemifieldMismatchError
 
+from conftest import power_trace_loop
+
 ALL = [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES]
 
 
@@ -205,16 +207,6 @@ class TestClosureProperties:
             assert t.identity(sf, n).leq(a.star(), sf.default_eps)
 
 
-def power_trace_loop(a):
-    """Reference for power_trace: tr(A) + ... + tr(A^n) from n - 1 full products."""
-    acc = a.trace().value
-    power = a
-    for _ in range(a.rows - 1):
-        power = power @ a
-        acc = float(a.sf.add(acc, power.trace().value))
-    return acc
-
-
 def star_squaring_loop(a):
     """Reference for star: (I + A)^(n-1) by repeated squaring, O(n^3 log n)."""
     result = t.identity(a.sf, a.rows)
@@ -240,10 +232,11 @@ def _from_exponents(sf, exps, mask):
 
 
 def _reference_cases(sf, planted):
-    """20 exact matrices for each n = 1..8: contractive, or with one planted
-    cycle of weight-one edges, one of them raised above one."""
+    """20 exact matrices for each n = 1..8 and each n around a power of two
+    (one, two and many set bits: 16, 32; 9, 17, 33; 15): contractive, or
+    with one planted cycle of weight-one edges, one of them raised above one."""
     rng = np.random.default_rng(24)
-    for n in range(1, 9):
+    for n in (*range(1, 9), 9, 15, 16, 17, 32, 33):
         for _ in range(20):
             exps = rng.integers(-8, 1, size=(n, n)).astype(float)
             mask = rng.random((n, n)) < 0.2
@@ -266,6 +259,13 @@ def test_power_trace_matches_loop_reference(sf, planted):
         exceeds = not sf.leq(ref, sf.one, 0.0)
         assert exceeds == planted
         assert (_kernels.closure(a.data, sf.minimize, sf.times) is None) == exceeds
+        ones = t.tvector(sf, [sf.one] * a.rows)
+        result = t.solve_general(a, ones, ones)
+        if planted:
+            assert result.reason is t.InfeasibleReason.TR_EXCEEDS_ONE
+            assert result.detail.value == ref
+        else:
+            assert isinstance(result, t.SolutionSet)
 
 
 @pytest.mark.parametrize("planted", [False, True], ids=["contractive", "planted-cycle"])
@@ -304,6 +304,23 @@ def test_power_trace_heavy_cycles_stay_in_range(sf, entry):
     assert np.isfinite(value)
     assert not sf.leq(value, sf.one, 0.0)
     assert value == pytest.approx(power_trace_loop(a), rel=1e-9)
+
+
+@pytest.mark.parametrize("sf", [t.MAX_PLUS, t.MIN_PLUS], ids=lambda sf: sf.tag)
+def test_cycle_above_one_by_rounding_still_solves(sf):
+    # The cycle 0 -> 1 -> 2 -> 0 weighs about 1e-12 above one: the exact
+    # elimination diverges, but the cycle test passes within the default
+    # tolerance, so the solve takes the star from squaring, as star() does.
+    s = -1.0 if sf.minimize else 1.0
+    a = t.tmatrix(sf, s * np.array([[-5, 1, -np.inf], [-np.inf, -5, 1], [-2 + 1e-12, -np.inf, -5]]))
+    assert _kernels.closure(a.data, sf.minimize, sf.times) is None
+    value = a.power_trace().value
+    assert value != sf.one and sf.leq(value, sf.one)
+    assert value == a.power_trace(star_squaring_loop(a)).value
+    ones = t.tvector(sf, [sf.one] * 3)
+    sol = t.solve_general(a, ones, ones)
+    assert isinstance(sol, t.SolutionSet)
+    assert sol.generator == a.star() == star_squaring_loop(a)
 
 
 def test_validation_on_construction():

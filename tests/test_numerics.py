@@ -15,7 +15,7 @@ import tropt as t
 from tropt import _kernels
 from tropt.errors import TroptError
 
-from conftest import as_instance, random_feasible_instance
+from conftest import as_instance, power_trace_loop, random_feasible_instance
 
 PLUS = [t.MAX_PLUS, t.MIN_PLUS]
 
@@ -103,28 +103,66 @@ def test_large_integers_stay_distinct(sf, big):
     assert not t.contains(sol, inst, t.tvector(sf, [s * (big + 3)] * 2))
 
 
-@pytest.mark.parametrize("n", [2, 6])
-def test_feasible_solve_eliminates_once_without_square_products(n, monkeypatch):
-    raw = random_feasible_instance(np.random.default_rng(n), n)
-    inst = as_instance(t.MAX_PLUS, raw)
-    closures, products = [], []
+@pytest.fixture
+def counted(monkeypatch):
+    """Record each elimination (shape, diverged) and each product's operand shapes."""
+    calls = {"closure": [], "matmul": []}
     closure, matmul = _kernels.closure, _kernels.matmul
 
     def counting_closure(a, minimize, times):
-        closures.append(a.shape)
-        return closure(a, minimize, times)
+        out = closure(a, minimize, times)
+        calls["closure"].append((a.shape, out is None))
+        return out
 
     def counting_matmul(a, b, minimize, times):
-        products.append((a.shape, b.shape))
+        calls["matmul"].append((a.shape, b.shape))
         return matmul(a, b, minimize, times)
 
     monkeypatch.setattr(_kernels, "closure", counting_closure)
     monkeypatch.setattr(_kernels, "matmul", counting_matmul)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_feasible_solve_eliminates_once_without_square_products(n, counted):
+    raw = random_feasible_instance(np.random.default_rng(n), n)
+    inst = as_instance(t.MAX_PLUS, raw)
     sol = t.solve_general(inst.B, inst.p, inst.q, inst.g, inst.h)
     assert isinstance(sol, t.SolutionSet)
-    assert closures == [(n, n)]
+    assert counted["closure"] == [((n, n), False)]
     # Only the vector products of the closed form: the rows conj(q), conj(h)
     # times B*, the theta terms, the u_hi row times B*, and B* times the
     # u-box ends.  A shape test alone cannot rule out squaring at n = 2,
     # where a pair of stacked rows is itself 2x2; the exact list can.
-    assert products == [((2, n), (n, n)), ((2, n), (n, 2)), ((1, n), (n, n)), ((n, n), (n, 2))]
+    assert counted["matmul"] == [((2, n), (n, n)), ((2, n), (n, 2)), ((1, n), (n, n)), ((n, n), (n, 2))]
+
+
+@pytest.mark.parametrize("n, squarings", [(8, 2), (64, 5)])
+def test_infeasible_solve_squares_to_half_the_exponent(n, squarings, counted, monkeypatch):
+    # One planted cycle above one among edges that all weigh less than one.
+    # The detail Tr((I + B)^n) needs I + B squared only up to the exponent
+    # n / 2, and its trace is read from the last square without a product.
+    rng = np.random.default_rng(n)
+    B = rng.integers(-8, 0, size=(n, n)).astype(float)
+    cycle = rng.permutation(n)[:3]
+    B[cycle, np.roll(cycle, -1)] = [1, 0, 0]
+    B = t.tmatrix(t.MAX_PLUS, B)
+    ref = power_trace_loop(B)
+    counted["matmul"].clear()
+    monkeypatch.setattr(t.TropicalMatrix, "star", lambda self: pytest.fail("star() called"))
+    zero = t.tvector(t.MAX_PLUS, [0] * n)
+    report = t.solve_general(B, zero, zero)
+    assert report.reason is t.InfeasibleReason.TR_EXCEEDS_ONE
+    assert report.detail.value == ref
+    assert counted["closure"] == [((n, n), True)]
+    assert counted["matmul"] == [((n, n), (n, n))] * squarings
+
+
+def test_divergent_star_spends_no_product_on_the_identity(counted):
+    # (I + A)^7 from the bits 1, 2 and 4 of the exponent: two squarings and
+    # two multiplies, none of them by the identity.
+    diag = np.eye(8) == 1
+    a = t.tmatrix(t.MAX_PLUS, np.where(diag, 1.0, -np.inf))
+    assert a.star() == t.tmatrix(t.MAX_PLUS, np.where(diag, 7.0, -np.inf))
+    assert counted["closure"] == [((8, 8), True)]
+    assert len(counted["matmul"]) == 4

@@ -290,6 +290,18 @@ class TestCliPlot:
         (pt,) = _svg_elements(text, "solution-point")
         assert (pt.get("cx"), pt.get("cy")) == ("-1", "3")
 
+    @pytest.mark.parametrize("B", [[[0, -4], [3, "-inf"]], [[0, "-inf"], ["-inf", "-inf"]]])
+    def test_zero_entry_of_p_is_drawn_at_the_edge(self, B, tmp_path):
+        # p need only be non-zero; its -inf entry, and a solution end that
+        # inherits it (the second B), reach the viewport edge.
+        src, dest = tmp_path / "p.json", tmp_path / "plot.svg"
+        src.write_text(json.dumps(
+            {"problem": "linear", "p": ["-inf", -5], "q": [-3.843, 1], "B": B}))
+        assert main(["plot", str(src), "--out", str(dest)]) == 0
+        text = dest.read_text()
+        assert "inf" not in text and "nan" not in text
+        ET.fromstring(text)
+
     def test_rejects_wrong_dimension(self):
         parsed = parse_problem({"problem": "unconstrained", "p": [1, 2, 3], "q": [0, 0, 0]})
         with pytest.raises(t.DomainError):
