@@ -1,4 +1,4 @@
-"""Numeric inner kernels: tropical products, closure, cycle trace and the oracle grid scan.
+"""Numeric inner kernels: tropical products, closure, powers of I + A and the oracle grid scan.
 
 The kernels work on raw float64 encodings.  Within a semifield carrier the
 naive float operations are exact: opposite infinities never meet, so no
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["matmul", "product_trace", "closure", "cycle_trace", "grid_scan"]
+__all__ = ["matmul", "product_trace", "closure", "power_factors", "grid_scan"]
 
 
 def matmul(a, b, minimize, times):
@@ -54,30 +54,28 @@ def closure(a, minimize, times):
     return d
 
 
-def cycle_trace(a, minimize, times):
-    """Trace of (I + A)^n: the heaviest closed walk of length at most n, or one.
+def power_factors(a, e, minimize, times):
+    """Two factors whose product is (I + A)^e, for e >= 2.
 
-    In an idempotent semiring (I + A)^n = I + A + ... + A^n, so this is one
-    plus the power trace of A, and equals it whenever a cycle exceeds one.
-    With n = hi + lo, hi the largest power of two below n, I + A is squared
-    up to the exponent hi, the set bits of lo are multiplied out on the
-    way, and the trace of the last product is read without forming it:
-    log2(hi) + popcount(lo) - 1 products of n x n matrices.
+    In an idempotent semiring (I + A)^e is exactly the sum of the powers
+    0..e of A.  With e = hi + lo, hi the largest power of two below e, I + A
+    is squared up to the exponent hi and the set bits of lo are multiplied
+    out on the way, from the lowest up: log2(hi) + popcount(lo) - 1
+    products of n x n matrices.  The factors are returned as (lo part,
+    hi power); the caller multiplies them, or reads the trace of their
+    product with :func:`product_trace`.
     """
-    n = a.shape[0]
     better = np.minimum if minimize else np.maximum
     power = np.array(a, dtype=np.float64, copy=True)
-    np.fill_diagonal(power, better(np.diagonal(power), 1.0 if times else 0.0))
-    if n == 1:
-        return float(power[0, 0])
-    hi = 1 << ((n - 1).bit_length() - 1)
-    lo = n - hi
+    np.fill_diagonal(power, better(1.0 if times else 0.0, np.diagonal(power)))
+    hi = 1 << ((e - 1).bit_length() - 1)
+    lo = e - hi
     part, k = None, 1  # power is (I + A)^k; part collects the bits of lo below 2k
     while True:
         if lo & k:
             part = power if part is None else matmul(part, power, minimize, times)
         if k == hi:
-            return product_trace(power, part, minimize, times)
+            return part, power
         power = matmul(power, power, minimize, times)
         k <<= 1
 

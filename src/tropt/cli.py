@@ -7,6 +7,7 @@ instance or an oracle disagreement, 2 for input errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -55,10 +56,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _epsilon(args) -> float | None:
-    if args.epsilon is not None:
-        return args.epsilon
-    env = os.environ.get("TROPT_EPSILON")
-    return float(env) if env else None
+    raw, name = args.epsilon, "--epsilon"
+    if raw is None:
+        raw, name = os.environ.get("TROPT_EPSILON"), "TROPT_EPSILON"
+        if not raw:
+            return None
+    try:
+        eps = float(raw)
+    except ValueError:
+        raise TroptError(f"{name}: expected a number, got {raw!r}") from None
+    if not 0 <= eps < math.inf:
+        raise TroptError(f"{name}: the tolerance must be finite and at least 0, got {raw}")
+    return eps
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -120,30 +120,19 @@ class TropicalMatrix:
         val = diag.min() if self.sf.minimize else diag.max()
         return TropicalScalar(float(val), self.sf)
 
-    def power_trace(self, star: "TropicalMatrix | None" = None) -> TropicalScalar:
+    def power_trace(self) -> TropicalScalar:
         """Combined trace of the powers 1..n: the heaviest closed walk of length <= n.
 
         At most one when every cycle weight is at most one; above one exactly
         when the matrix carries a cycle whose weight exceeds the semifield one.
-        By A (A^0 + ... + A^(n-1)) = A + ... + A^n the value is the trace of
-        A A*, read in O(n^2) as the sum over i, k of a_ik a*_ki.  ``star`` is
-        this matrix's :meth:`star`; pass it when it is already at hand.
-        Otherwise one elimination runs here, and when it diverges the value
-        is read from (I + A)^n (:func:`_kernels.cycle_trace`), which is one
-        plus the power trace, so it is the power trace whenever that
-        exceeds one.
+        One elimination runs.  When it converges the value is the trace of
+        A A*, by A (A^0 + ... + A^(n-1)) = A + ... + A^n, read in O(n^2) as
+        the sum over i, k of a_ik a*_ki.  When it diverges the value is read
+        from (I + A)^n, which is one plus the power trace: the power trace
+        itself whenever that exceeds one.
         """
         self._require_square("power_trace")
-        if star is None:
-            star, value = self._star_or_power_trace()
-            if star is None:
-                return value
-        else:
-            self._same_sf(star)
-            if star.shape != self.shape:
-                raise DimensionError(f"star shape {star.shape} does not match {self.shape}")
-        val = _kernels.product_trace(self.data, star.data, self.sf.minimize, self.sf.times)
-        return TropicalScalar(val, self.sf)
+        return TropicalScalar(self._star_and_power_trace()[1], self.sf)
 
     def star(self) -> "TropicalMatrix":
         """Kleene star: the sum of powers 0..n-1.
@@ -154,49 +143,46 @@ class TropicalMatrix:
         the sum comes from binary exponentiation of I + A: in an idempotent
         semiring (I + A)^k is exactly the sum of powers 0..k, so raising to
         the exponent n-1 reproduces the definition in O(n^3 log n).  The
-        solvers never need this divergent case: they read the power trace
-        alone, which is cheaper (:meth:`power_trace`).
+        solvers take this divergent case only for a cycle that exceeds one
+        by no more than the default tolerance, that is by rounding.
         """
         self._require_square("star")
-        return self._star_from(_kernels.closure(self.data, self.sf.minimize, self.sf.times))
+        plus = _kernels.closure(self.data, self.sf.minimize, self.sf.times)
+        return TropicalMatrix(self.sf, self._star_from(plus), _trusted=True)
 
-    def _star_or_power_trace(self):
-        """``(star, None)``, or ``(None, power trace)`` when a cycle exceeds one.
+    def _star_and_power_trace(self):
+        """``(star data, power trace)``, with None for the star when a cycle exceeds one.
 
-        One elimination decides.  When it diverges the power trace comes
-        from :func:`_kernels.cycle_trace`; if that lies within the default
-        tolerance of one, the cycle test passes up to rounding and the star
-        comes from squaring, as in :meth:`star`.
+        The one place where the cycle test compares the power trace with
+        one.  One elimination decides: when it converges the star is I plus
+        its closure; when it diverges the power trace is read from the
+        trace of (I + A)^n, and a value within the default tolerance of one
+        passes the test up to rounding, with the star from squaring.
         """
         sf = self.sf
         plus = _kernels.closure(self.data, sf.minimize, sf.times)
-        if plus is None:
-            value = _kernels.cycle_trace(self.data, sf.minimize, sf.times)
-            if not sf.leq(value, sf.one):
-                return None, TropicalScalar(value, sf)
-        return self._star_from(plus), None
-
-    def _star_from(self, plus) -> "TropicalMatrix":
-        """I plus the plus-closure, or (I + A)^(n-1) when the closure diverged.
-
-        The power is taken by square-and-multiply from the lowest set bit of
-        the exponent on, so no product is spent on the identity.
-        """
-        sf = self.sf
-        eye = _identity_data(sf, self.rows)
         if plus is not None:
-            return TropicalMatrix(sf, sf.add(plus, eye), _trusted=True)
-        base = sf.add(eye, self.data)
-        result = None
-        e = self.rows - 1
-        while e:
-            if e & 1:
-                result = base if result is None else _kernels.matmul(
-                    result, base, sf.minimize, sf.times)
-            e >>= 1
-            if e:
-                base = _kernels.matmul(base, base, sf.minimize, sf.times)
-        return TropicalMatrix(sf, eye if result is None else result, _trusted=True)
+            star = self._star_from(plus)
+            trace = _kernels.product_trace(self.data, star, sf.minimize, sf.times)
+        elif self.rows == 1:
+            star, trace = None, float(self.data[0, 0])
+        else:
+            factors = _kernels.power_factors(self.data, self.rows, sf.minimize, sf.times)
+            star, trace = None, _kernels.product_trace(*factors, sf.minimize, sf.times)
+        if not sf.leq(trace, sf.one):
+            return None, trace
+        return (self._star_from(None) if star is None else star), trace
+
+    def _star_from(self, plus) -> np.ndarray:
+        """I plus the plus-closure, or (I + A)^(n-1) when the closure diverged."""
+        sf, n = self.sf, self.rows
+        eye = _identity_data(sf, n)
+        if plus is not None:
+            return sf.add(plus, eye)
+        if n < 3:  # the exponent n - 1 is 0 or 1
+            return eye if n == 1 else sf.add(eye, self.data)
+        factors = _kernels.power_factors(self.data, n - 1, sf.minimize, sf.times)
+        return _kernels.matmul(*factors, sf.minimize, sf.times)
 
     def conj(self) -> "TropicalMatrix":
         """Multiplicative conjugate transpose of a vector.

@@ -12,6 +12,7 @@ on the half-integer lattice and the oracle is exact, not approximate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ class GridSpec:
     upper: np.ndarray
     step: float = 0.5
 
+    _counts: tuple = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=np.float64)
         upper = np.asarray(self.upper, dtype=np.float64)
@@ -45,23 +48,25 @@ class GridSpec:
             raise DomainError("grid bounds must be finite")
         if (lower > upper).any():
             raise DomainError("grid lower bound exceeds upper bound")
-        if not self.step > 0:
-            raise DomainError("grid step must be positive")
-        if self.point_count() > MAX_POINTS:
+        if not 0 < self.step < np.inf:
+            raise DomainError(f"grid step must be positive and finite, got {self.step}")
+        # The counts stay floats until they pass the guard: a span that
+        # overflows, or a tiny step, gives an infinite count.
+        with np.errstate(over="ignore"):
+            counts = np.floor((upper - lower) / self.step + 1e-9) + 1
+        total = float(np.prod(counts))
+        if not total <= MAX_POINTS:
             raise GridGuardError(
-                f"grid would hold {self.point_count()} points (limit {MAX_POINTS}); "
+                f"grid would hold {total:.15g} points (limit {MAX_POINTS}); "
                 f"increase the step (currently {self.step})"
             )
+        object.__setattr__(self, "_counts", tuple(int(c) for c in counts))
 
     def axis(self, i: int) -> np.ndarray:
-        count = int(np.floor((self.upper[i] - self.lower[i]) / self.step + 1e-9)) + 1
-        return self.lower[i] + self.step * np.arange(count)
+        return self.lower[i] + self.step * np.arange(self._counts[i])
 
     def point_count(self) -> int:
-        total = 1
-        for i in range(len(self.lower)):
-            total *= int(np.floor((self.upper[i] - self.lower[i]) / self.step + 1e-9)) + 1
-        return total
+        return math.prod(self._counts)
 
     def points(self) -> np.ndarray:
         """All grid points in lexicographic order, one per row."""

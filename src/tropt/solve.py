@@ -28,9 +28,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, DomainError, SemifieldMismatchError, TroptError
-from .linalg import TropicalMatrix, identity, tmatrix, tvector, zeros
+from .linalg import TropicalMatrix, identity, tmatrix, tvector
 from .semifield import Semifield, TropicalScalar
-from .systems import Infeasible, solve_ax_plus_b_le_x
 
 __all__ = [
     "InfeasibleReason",
@@ -169,7 +168,6 @@ def _solve(B, p, q, g, h) -> SolutionSet | InfeasibilityReport:
     """
     sf = p.sf
     _check_operands(sf, p, q, g, h, B)
-    n = p.rows
 
     def mm(a, b):
         return _kernels.matmul(a, b, sf.minimize, sf.times)
@@ -177,11 +175,10 @@ def _solve(B, p, q, g, h) -> SolutionSet | InfeasibilityReport:
     if B is None:
         gen = bstar = None
     else:
-        cone = solve_ax_plus_b_le_x(B, g if g is not None else zeros(sf, n))
-        if isinstance(cone, Infeasible):
-            return InfeasibilityReport(InfeasibleReason.TR_EXCEEDS_ONE, cone.power_trace)
-        gen = cone.generator
-        bstar = gen.data
+        bstar, trace = B._star_and_power_trace()
+        if bstar is None:
+            return InfeasibilityReport(InfeasibleReason.TR_EXCEEDS_ONE, sf.scalar(trace))
+        gen = TropicalMatrix(sf, bstar, _trusted=True)
 
     qc = sf.inv(q.data.T)
     hc = np.full_like(qc, sf.zero) if h is None else sf.inv(h.data.T)

@@ -63,18 +63,14 @@ def solve_ax_plus_b_le_x(A: TropicalMatrix, b: TropicalMatrix) -> ConeSolution |
     """Solve A x + b <= x for regular x.
 
     Feasible exactly when power_trace(A) is at most the semifield one; the
-    solutions then form the cone {A* u : u >= b}.  One elimination decides:
-    A* comes from it when it converges and serves both the cycle test and
-    the cone, and when it diverges only the power trace is read.
+    solutions then form the cone {A* u : u >= b}.  One elimination decides
+    (see :meth:`TropicalMatrix.power_trace`), and A* comes with the verdict.
     """
     if not A.is_square:
         raise DimensionError(f"A must be square, got {A.shape}")
     if not b.is_column or b.rows != A.rows:
         raise DimensionError(f"incompatible shapes: A {A.shape}, b {b.shape}")
-    star, t = A._star_or_power_trace()
+    star, trace = A._star_and_power_trace()
     if star is None:
-        return Infeasible(t)
-    t = A.power_trace(star)
-    if not A.sf.leq(t.value, A.sf.one):
-        return Infeasible(t)
-    return ConeSolution(star, b)
+        return Infeasible(TropicalScalar(trace, A.sf))
+    return ConeSolution(TropicalMatrix(A.sf, star, _trusted=True), b)

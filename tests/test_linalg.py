@@ -255,7 +255,7 @@ def test_power_trace_matches_loop_reference(sf, planted):
     for a in _reference_cases(sf, planted):
         ref = power_trace_loop(a)
         assert a.power_trace().value == ref
-        assert a.power_trace(star_squaring_loop(a)).value == ref
+        assert _kernels.product_trace(a.data, star_squaring_loop(a).data, sf.minimize, sf.times) == ref
         exceeds = not sf.leq(ref, sf.one, 0.0)
         assert exceeds == planted
         assert (_kernels.closure(a.data, sf.minimize, sf.times) is None) == exceeds
@@ -274,14 +274,6 @@ def test_star_matches_squaring_reference(sf, planted):
     # == rather than bytes: the elimination may give -0.0 where squaring gives 0.0
     for a in _reference_cases(sf, planted):
         assert a.star() == star_squaring_loop(a)
-
-
-def test_power_trace_rejects_a_foreign_star(mp):
-    a = t.zeros(mp, 2, 2)
-    with pytest.raises(DimensionError):
-        a.power_trace(t.identity(mp, 3))
-    with pytest.raises(SemifieldMismatchError):
-        a.power_trace(t.identity(t.MIN_PLUS, 2))
 
 
 @pytest.mark.parametrize(
@@ -316,7 +308,7 @@ def test_cycle_above_one_by_rounding_still_solves(sf):
     assert _kernels.closure(a.data, sf.minimize, sf.times) is None
     value = a.power_trace().value
     assert value != sf.one and sf.leq(value, sf.one)
-    assert value == a.power_trace(star_squaring_loop(a)).value
+    assert value == _kernels.product_trace(a.data, star_squaring_loop(a).data, sf.minimize, sf.times)
     ones = t.tvector(sf, [sf.one] * 3)
     sol = t.solve_general(a, ones, ones)
     assert isinstance(sol, t.SolutionSet)

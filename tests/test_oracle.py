@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import tropt as t
-from tropt.errors import DomainError, GridGuardError
+from tropt.errors import DomainError, GridGuardError, TroptError
 
 from conftest import as_instance, random_feasible_instance
 
@@ -29,6 +31,18 @@ class TestGridSpec:
     def test_point_guard(self):
         with pytest.raises(GridGuardError):
             t.GridSpec(np.full(3, -50.0), np.full(3, 50.0), step=0.5)
+
+    @pytest.mark.parametrize("lower, upper, step", [
+        ([0.0], [1.0], 1e-320),           # the count overflows to inf
+        ([-1e308], [1e308], 1.0),         # the span overflows to inf
+        ([0.0], [1.0], float("inf")),
+        ([0.0], [1.0], float("nan")),
+    ])
+    def test_counts_that_do_not_fit_an_int_raise(self, lower, upper, step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TroptError):
+                t.GridSpec(np.array(lower), np.array(upper), step)
 
 
 class TestDefaultGrid:

@@ -212,6 +212,26 @@ class TestCliVerify:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and doc["status"] == "agree"
 
+    @pytest.mark.parametrize("flag, env", [
+        ([], "abc"), (["--epsilon", "-5"], None), (["--epsilon", "nan"], None),
+        (["--epsilon", "inf"], None), ([], "-1e-9"),
+    ])
+    def test_bad_epsilon_exit_2(self, flag, env, capsys, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("TROPT_EPSILON", env)
+        assert main(["verify", str(PROBLEMS / "general.json"), *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("--epsilon" in err or "TROPT_EPSILON" in err)
+
+    @pytest.mark.parametrize("args", [
+        ["--grid-step", "1e-320"],
+        ["--grid-lo=-1e308,-1e308", "--grid-hi=1e308,1e308"],
+        ["--grid-step", "inf"],
+    ])
+    def test_unrepresentable_grid_exit_2(self, args, capsys):
+        assert main(["verify", str(PROBLEMS / "general.json"), *args]) == 2
+        assert capsys.readouterr().err.startswith("error: grid ")
+
     @pytest.mark.parametrize("command", ["solve", "plot"])
     def test_epsilon_is_a_verify_flag(self, command, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -291,8 +291,8 @@ def test_wrappers_specialize_general_in_every_semifield(sf):
 
 def test_small_solve_checks_only_its_results(worked, monkeypatch):
     # Inputs are validated when they are built.  A solve checks the carrier
-    # of its results only: theta, the four box ends and the cycle-test value.
-    # It builds few matrices and needs only the vector products.
+    # of its results only: theta and the four box ends.  It builds only B*
+    # and those box ends, and needs only the vector products.
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -308,10 +308,14 @@ def test_small_solve_checks_only_its_results(worked, monkeypatch):
     p, q, g, h, B = (worked[k] for k in "pqghB")
     sol = t.solve_general(B, p, q, g, h)
     assert sol.theta.value == 14
-    assert counts["validate"] == 6
-    assert counts["construct"] <= 6
+    assert counts["validate"] == 5
+    assert counts["construct"] == 5
     assert counts["matmul"] <= 4
     assert counts["closure"] == 1
+
+    counts.clear()  # an absent g costs no vector either
+    assert isinstance(t.solve_linear_constrained(B, p, q), t.SolutionSet)
+    assert counts["construct"] == 5
 
     counts.clear()
     assert isinstance(t.solve_unconstrained(p, q), t.SolutionSet)
