@@ -3,6 +3,16 @@
 The kernels work on raw float64 encodings.  Within a semifield carrier the
 naive float operations are exact: opposite infinities never meet, so no
 NaN can appear.
+
+Products and the oracle's grid scan broadcast a rank-3 temporary and
+reduce it.  They run over row blocks (:func:`row_blocks`) whose temporary
+holds at most ``_BLOCK_ELEMENTS`` elements, a fixed budget: ``matmul``
+over the rows of its left factor, the oracle over slabs of its grid, one
+:func:`grid_scan` per slab.  Operands that fit in one block run the
+unblocked expression.  Blocking changes which rows share a temporary, not
+the float operations on any row, so the results are bit-identical, and
+the oracle's memory is O(budget + N) for N grid points instead of
+O(N n^2).
 """
 
 from __future__ import annotations
@@ -12,10 +22,35 @@ import numpy as np
 __all__ = ["matmul", "product_trace", "closure", "power_factors", "grid_scan"]
 
 
+# Elements of the broadcast temporary per row block: 512 KB of float64.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def row_blocks(rows, row_elements):
+    """Slices that cover ``range(rows)`` in order, each a block of whole rows.
+
+    A row costs ``row_elements`` temporary elements; a block holds as many
+    rows as fit in ``_BLOCK_ELEMENTS``, and at least one.
+    """
+    step = max(1, _BLOCK_ELEMENTS // max(1, row_elements))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
 def matmul(a, b, minimize, times):
-    """(m,n) x (n,l) tropical product via broadcasting."""
-    combined = a[:, :, None] * b[None, :, :] if times else a[:, :, None] + b[None, :, :]
-    return combined.min(axis=1) if minimize else combined.max(axis=1)
+    """(m,n) x (n,l) tropical product via broadcasting, over row blocks of a.
+
+    Operands within the budget take the one-line broadcast; larger ones
+    reduce the same broadcast block by block into ``out``.
+    """
+    if a.size * b.shape[1] <= _BLOCK_ELEMENTS:
+        combined = a[:, :, None] * b[None, :, :] if times else a[:, :, None] + b[None, :, :]
+        return combined.min(axis=1) if minimize else combined.max(axis=1)
+    combine = np.multiply if times else np.add
+    reduce = np.minimum.reduce if minimize else np.maximum.reduce
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.float64)
+    for rows in row_blocks(a.shape[0], b.size):
+        reduce(combine(a[rows, :, None], b[None, :, :]), axis=1, out=out[rows])
+    return out
 
 
 def product_trace(a, b, minimize, times):

@@ -27,15 +27,18 @@ __all__ = ["GridSpec", "OracleResult", "default_grid", "brute_force_min"]
 MAX_POINTS = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSpec:
-    """A rectangular grid: per-dimension bounds plus a common step."""
+    """A rectangular grid: per-dimension bounds plus a common step.
+
+    Two grids are equal when their bounds and steps are.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
     step: float = 0.5
 
-    _counts: tuple = field(init=False, repr=False, compare=False)
+    _counts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=np.float64)
@@ -62,15 +65,29 @@ class GridSpec:
             )
         object.__setattr__(self, "_counts", tuple(int(c) for c in counts))
 
+    def __eq__(self, other):
+        if not isinstance(other, GridSpec):
+            return NotImplemented
+        return (self.step == other.step and np.array_equal(self.lower, other.lower)
+                and np.array_equal(self.upper, other.upper))
+
+    def __hash__(self):
+        return hash((tuple(self.lower.tolist()), tuple(self.upper.tolist()), self.step))
+
     def axis(self, i: int) -> np.ndarray:
         return self.lower[i] + self.step * np.arange(self._counts[i])
 
     def point_count(self) -> int:
         return math.prod(self._counts)
 
-    def points(self) -> np.ndarray:
-        """All grid points in lexicographic order, one per row."""
+    def points(self, lead: slice = slice(None)) -> np.ndarray:
+        """Grid points in lexicographic order, one per row.
+
+        ``lead`` selects a run of the first axis; the points returned are
+        then that slab of the whole list.
+        """
         axes = [self.axis(i) for i in range(len(self.lower))]
+        axes[0] = axes[0][lead]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
@@ -139,6 +156,11 @@ def brute_force_min(
 
     Only dimensions up to 3 are supported; the point count is capped by
     the GridSpec guard.  Argmins are reported in lexicographic order.
+
+    The grid is scanned in blocks of whole slabs of its first axis, each
+    validated and scanned on its own, under the kernels' element budget.
+    Only the feasibility flag and objective value of every point are kept,
+    so memory is O(budget + N) for N points, not O(N n^2).
     """
     sf = inst.sf
     if inst.n > 3:
@@ -147,8 +169,6 @@ def brute_force_min(
         grid = default_grid(inst)
     if len(grid.lower) != inst.n:
         raise DomainError(f"grid dimension {len(grid.lower)} != instance dimension {inst.n}")
-    X = grid.points()
-    sf.validate(X)
 
     B = inst.B.data if inst.B is not None else None
     g = inst.g.data.reshape(-1) if inst.g is not None else None
@@ -156,12 +176,21 @@ def brute_force_min(
     qc = inst.q.conj().data.reshape(-1)
     p = inst.p.data.reshape(-1)
 
-    feas, vals = _kernels.grid_scan(X, B, g, h, p, qc, sf.minimize, sf.times)
+    feas = np.empty(grid.point_count(), dtype=np.bool_)
+    vals = np.empty(grid.point_count(), dtype=np.float64)
+    slab = math.prod(grid._counts[1:])  # points per index of the first axis
+    for lead in _kernels.row_blocks(grid._counts[0], slab * inst.n * inst.n):
+        X = grid.points(lead)
+        sf.validate(X)
+        rows = slice(lead.start * slab, lead.stop * slab)
+        feas[rows], vals[rows] = _kernels.grid_scan(X, B, g, h, p, qc, sf.minimize, sf.times)
+
     count = int(feas.sum())
     if count == 0:
         return OracleResult(None, [], 0)
     fvals = vals[feas]
     best = float(fvals.max() if sf.minimize else fvals.min())
     hit = feas & np.asarray(sf.eq(vals, best, eps))
-    argmins = [X[i].copy() for i in np.flatnonzero(hit)]
-    return OracleResult(TropicalScalar(best, sf), argmins, count)
+    index = np.unravel_index(np.flatnonzero(hit), grid._counts)
+    argmins = np.stack([grid.axis(i)[k] for i, k in enumerate(index)], axis=1)
+    return OracleResult(TropicalScalar(best, sf), list(argmins), count)

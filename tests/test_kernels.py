@@ -6,11 +6,13 @@ as comparisons.
 They are slow and serve only as the reference here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import tropt as t
-from tropt._kernels import closure, grid_scan, matmul
+from tropt._kernels import _BLOCK_ELEMENTS, closure, grid_scan, matmul
 
 FLAVORS = [(False, False), (True, False), (False, True), (True, True)]
 
@@ -183,3 +185,31 @@ def test_grid_scan_variants_agree(minimize, times):
                 f2, v2 = grid_scan_loop(*args)
                 assert np.array_equal(f1, f2)
                 assert np.array_equal(v1, v2)
+
+
+@pytest.mark.parametrize("minimize,times", FLAVORS)
+@pytest.mark.parametrize("m,n,l", [(97, 40, 40), (3, 260, 260), (45, 30, 70)])
+def test_blocked_matmul_agrees(minimize, times, m, n, l):
+    # Above the element budget, with a last row block shorter than the rest
+    # (or one row per block when a single row exceeds the budget).
+    rows_per_block = max(1, _BLOCK_ELEMENTS // (n * l))
+    assert m * n * l > _BLOCK_ELEMENTS and (rows_per_block == 1 or m % rows_per_block)
+    zero = np.inf if minimize else (0.0 if times else -np.inf)
+    rng = np.random.default_rng(65)
+    a, b = _random_operands(rng, minimize, times, m, n, l)
+    a[rng.random(a.shape) < 0.3] = zero
+    b[rng.random(b.shape) < 0.3] = zero
+    got = matmul(a, b, minimize, times)
+    assert np.array_equal(got, matmul_loop(a, b, minimize, times))
+    assert not np.isnan(got).any()
+
+
+def test_blocked_matmul_memory_is_bounded():
+    a = np.random.default_rng(66).uniform(-8, 8, size=(256, 256))
+    tracemalloc.start()
+    try:
+        matmul(a, a, False, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6  # the unblocked broadcast takes 134 MB

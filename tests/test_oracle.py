@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import tropt as t
+from tropt import _kernels
 from tropt.errors import DomainError, GridGuardError, TroptError
 
 from conftest import as_instance, random_feasible_instance
@@ -45,6 +47,18 @@ class TestGridSpec:
                 t.GridSpec(np.array(lower), np.array(upper), step)
 
 
+    def test_equality(self):
+        grid = t.GridSpec(np.zeros(2), np.ones(2))
+        same = t.GridSpec(np.zeros(2), np.ones(2))
+        assert grid == same and hash(grid) == hash(same)
+        assert {grid, same} == {grid}
+        assert grid != t.GridSpec(np.zeros(2), np.full(2, 2.0))
+        assert grid != t.GridSpec(np.zeros(2), np.ones(2), step=0.25)
+        assert grid != t.GridSpec(np.zeros(3), np.ones(3))
+        assert grid != (np.zeros(2), np.ones(2), 0.5)
+        assert grid != "grid"
+
+
 class TestDefaultGrid:
     def test_respects_box(self, worked, mp):
         inst = t.ProblemInstance(
@@ -61,6 +75,22 @@ class TestDefaultGrid:
         sol = t.solve_unconstrained(worked["p"], worked["q"])
         assert (grid.lower <= sol.x_lo.column_values()).all()
         assert (sol.x_hi.column_values() <= grid.upper).all()
+
+    def test_min_plus_clips_to_g_and_h(self):
+        # In min-plus, g <= x bounds x from above and x <= h from below;
+        # a zero (+inf) entry of g leaves its dimension padded.
+        sf = t.MIN_PLUS
+        inst = t.problem(sf, [1, -2], [3, 0], g=[3, np.inf], h=[-2, -1])
+        pad = 3.0 * 3 + 1
+        expect = t.GridSpec(np.array([max(-pad, -2), max(-pad, -1)]),
+                            np.array([min(pad, 3), pad]))
+        assert t.default_grid(inst) == expect
+        sol = t.solve_instance(inst)
+        res = t.brute_force_min(inst)
+        assert res.min_value == sol.theta
+        assert res.argmins
+        for a in res.argmins:
+            assert t.contains(sol, inst, t.tvector(sf, a))
 
     def test_times_needs_explicit_grid(self):
         inst = t.problem(t.MAX_TIMES, [4], [0.25])
@@ -131,3 +161,69 @@ class TestBruteForce:
             assert res.min_value == sol.theta
             for a in res.argmins:
                 assert t.contains(sol, inst, t.tvector(mp, a))
+
+
+def _one_shot(inst, grid, eps=None):
+    """The oracle's answer from one unblocked scan of the whole grid."""
+    sf = inst.sf
+    X = grid.points()
+    feas, vals = _kernels.grid_scan(
+        X,
+        inst.B.data if inst.B is not None else None,
+        inst.g.data.reshape(-1) if inst.g is not None else None,
+        inst.h.data.reshape(-1) if inst.h is not None else None,
+        inst.p.data.reshape(-1),
+        inst.q.conj().data.reshape(-1),
+        sf.minimize,
+        sf.times,
+    )
+    fvals = vals[feas]
+    best = float(fvals.max() if sf.minimize else fvals.min())
+    return best, X[feas & np.asarray(sf.eq(vals, best, eps))], int(feas.sum())
+
+
+MP = t.MAX_PLUS
+BLOCKED_CASES = [
+    # n = 1: 2^16 points per block, 100001 points
+    (t.problem(MP, [60000], [40000]), t.GridSpec([-50000.0], [50000.0], 1.0)),
+    # n = 2: 32 slabs per block over 301, argmins in the last block
+    (t.problem(MP, [10, 10], [-40, -8], B=[[0, -4], [-8, -6]], g=[29, -8]),
+     t.GridSpec([0.0, -10], [30.0, 40], 0.1)),
+    # n = 3: 4 slabs per block over 43
+    (t.problem(MP, [10, 4, 1], [-19, -6, -3], B=[[0, -4, -3], [-8, -6, -1], [-2, -2, -5]],
+               g=[18, -5, -5]),
+     t.GridSpec([-2.0, 0, 0], [19.0, 20, 20], 0.5)),
+    # relative tolerance, 41 slabs per block over 391
+    (t.problem(t.MIN_TIMES, [0.5, 2], [4, 3], h=[3.8, 0.1]), t.GridSpec([0.1, 0.1], [4.0, 4.0], 0.01)),
+]
+
+
+@pytest.mark.parametrize("inst, grid", BLOCKED_CASES)
+def test_blocked_scan_matches_one_shot(inst, grid):
+    lead = grid.axis(0).size
+    slab = grid.point_count() // lead
+    blocks = _kernels.row_blocks(lead, slab * inst.n * inst.n)
+    sizes = {b.stop - b.start for b in blocks}
+    assert len(blocks) > 1 and len(sizes) == 2  # the last block is short
+    best, argmins, count = _one_shot(inst, grid)
+    res = t.brute_force_min(inst, grid)
+    assert res.min_value.value == best and res.feasible_count == count
+    assert np.array_equal(np.array(res.argmins), argmins)
+    # the argmins lie in the last block
+    assert (argmins[:, 0] >= grid.axis(0)[blocks[-1].start]).all()
+
+
+def test_scan_memory_is_bounded():
+    sf = t.MAX_TIMES
+    inst = t.problem(sf, [4, 2, 1], [0.25, 0.5, 1],
+                     B=[[0.5, 0.25, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.4]])
+    grid = t.GridSpec(np.full(3, 0.1), np.full(3, 10.0), step=0.1)
+    assert grid.point_count() == 100**3
+    tracemalloc.start()
+    try:
+        res = t.brute_force_min(inst, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.argmins
+    assert peak < 48e6  # one N x n x n broadcast of the whole grid takes 237 MB

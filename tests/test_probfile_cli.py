@@ -322,6 +322,18 @@ class TestCliPlot:
         assert "inf" not in text and "nan" not in text
         ET.fromstring(text)
 
+    def test_infeasible_prints_the_report_exit_1(self, tmp_path, capsys):
+        src, dest = tmp_path / "bad.json", tmp_path / "plot.svg"
+        src.write_text(json.dumps({
+            "problem": "box", "p": [0, 0], "q": [0, 0], "g": [3, 0], "h": [1, 5],
+        }))
+        assert main(["plot", str(src), "--out", str(dest)]) == 1
+        out = capsys.readouterr().out
+        assert json.loads(out)["status"] == "infeasible"
+        assert not dest.exists()
+        assert main(["solve", str(src)]) == 1
+        assert capsys.readouterr().out == out
+
     def test_rejects_wrong_dimension(self):
         parsed = parse_problem({"problem": "unconstrained", "p": [1, 2, 3], "q": [0, 0, 0]})
         with pytest.raises(t.DomainError):

@@ -173,6 +173,22 @@ class TestMembership:
         assert not t.contains(sol, inst, t.tvector(mp, [6, 8]))
         assert not t.contains(sol, inst, t.tvector(mp, [3, 0]))
 
+    @pytest.mark.parametrize("x, rejected_by", [([6, 8], "objective"), ([1, 0], "g")])
+    def test_rejects_on_one_test_alone(self, worked, mp, x, rejected_by):
+        inst = t.ProblemInstance(
+            mp, worked["p"], worked["q"], g=worked["g"], h=worked["h"], B=worked["B"]
+        )
+        sol = t.solve_instance(inst)
+        x = t.tvector(mp, x)
+        passed = {
+            "B": bool((inst.B @ x).leq(x)),
+            "g": bool(inst.g.leq(x)),
+            "h": bool(x.leq(inst.h)),
+            "objective": t.objective(inst.p, inst.q, x) == sol.theta,
+        }
+        assert [k for k, ok in passed.items() if not ok] == [rejected_by]
+        assert not t.contains(sol, inst, x)
+
     def test_box_ends_always_members(self, mp):
         rng = np.random.default_rng(34)
         for _ in range(100):
