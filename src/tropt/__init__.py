@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`tropt.semifield` -- scalar algebra of the four semifields;
-* :mod:`tropt.linalg`    -- matrices/vectors, trace, Kleene star, conjugation;
+* :mod:`tropt.linalg`    -- matrices/vectors, Kleene star, cycle test, conjugation;
 * :mod:`tropt.systems`   -- closed-form solutions of the linear inequalities;
 * :mod:`tropt.solve`     -- the four minimax solvers;
 * :mod:`tropt.oracle`    -- brute-force grid verification;
@@ -21,7 +21,7 @@ from .errors import (
     SemifieldMismatchError,
     TroptError,
 )
-from .linalg import TropicalMatrix, identity, tmatrix, trow, tvector, zeros
+from .linalg import TropicalMatrix, identity, tmatrix, tvector, zeros
 from .location import (
     LocationInstance,
     LocationSolution,

@@ -1,8 +1,13 @@
 """Numeric inner kernels: tropical products, closure, powers of I + A and the oracle grid scan.
 
-The kernels work on raw float64 encodings.  Within a semifield carrier the
-naive float operations are exact: opposite infinities never meet, so no
-NaN can appear.
+The kernels work on raw float64 encodings and take the semifield ``sf``
+whose operations they apply: every product is ``sf.mul`` (or its
+``outer`` form) and every sum ``sf.add`` (or its ``reduce`` form), so each
+operation is written once for all four semifields.  Within a semifield
+carrier the naive float operations are exact: opposite infinities never
+meet, so no NaN can appear.  The semifield is tested only for the
+direction of its order and, in the grid scan, for the form of the
+inverse.
 
 Products and the oracle's grid scan broadcast a rank-3 temporary and
 reduce it.  They run over row blocks (:func:`row_blocks`) whose temporary
@@ -36,30 +41,27 @@ def row_blocks(rows, row_elements):
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
-def matmul(a, b, minimize, times):
+def matmul(a, b, sf):
     """(m,n) x (n,l) tropical product via broadcasting, over row blocks of a.
 
     Operands within the budget take the one-line broadcast; larger ones
     reduce the same broadcast block by block into ``out``.
     """
     if a.size * b.shape[1] <= _BLOCK_ELEMENTS:
-        combined = a[:, :, None] * b[None, :, :] if times else a[:, :, None] + b[None, :, :]
-        return combined.min(axis=1) if minimize else combined.max(axis=1)
-    combine = np.multiply if times else np.add
-    reduce = np.minimum.reduce if minimize else np.maximum.reduce
+        return sf.add.reduce(sf.mul(a[:, :, None], b[None, :, :]), axis=1)
+    mul, reduce = sf.mul, sf.add.reduce
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.float64)
     for rows in row_blocks(a.shape[0], b.size):
-        reduce(combine(a[rows, :, None], b[None, :, :]), axis=1, out=out[rows])
+        reduce(mul(a[rows, :, None], b[None, :, :]), axis=1, out=out[rows])
     return out
 
 
-def product_trace(a, b, minimize, times):
+def product_trace(a, b, sf):
     """Trace of the square product a b, read in O(n^2) as the sum of a_ik b_ki."""
-    walks = a * b.T if times else a + b.T
-    return float(walks.min() if minimize else walks.max())
+    return float(sf.add.reduce(sf.mul(a, b.T), axis=None))
 
 
-def closure(a, minimize, times):
+def closure(a, sf):
     """Plus-closure A + A^2 + A^3 + ... by Carre/Floyd-Warshall elimination.
 
     One O(n^3) pass over the pivots k, each relaxing every entry through k.
@@ -72,9 +74,7 @@ def closure(a, minimize, times):
     highest node.
     """
     d = np.array(a, dtype=np.float64, copy=True)
-    better = np.minimum if minimize else np.maximum
-    outer = np.multiply.outer if times else np.add.outer
-    one = 1.0 if times else 0.0
+    better, outer, one, minimize = sf.add, sf.mul.outer, sf.one, sf.minimize
     through = np.empty_like(d)
     for k in range(d.shape[0]):
         if (d[k, k] < one) if minimize else (d[k, k] > one):
@@ -89,7 +89,7 @@ def closure(a, minimize, times):
     return d
 
 
-def power_factors(a, e, minimize, times):
+def power_factors(a, e, sf):
     """Two factors whose product is (I + A)^e, for e >= 2.
 
     In an idempotent semiring (I + A)^e is exactly the sum of the powers
@@ -100,22 +100,21 @@ def power_factors(a, e, minimize, times):
     hi power); the caller multiplies them, or reads the trace of their
     product with :func:`product_trace`.
     """
-    better = np.minimum if minimize else np.maximum
     power = np.array(a, dtype=np.float64, copy=True)
-    np.fill_diagonal(power, better(1.0 if times else 0.0, np.diagonal(power)))
+    np.fill_diagonal(power, sf.add(sf.one, np.diagonal(power)))
     hi = 1 << ((e - 1).bit_length() - 1)
     lo = e - hi
     part, k = None, 1  # power is (I + A)^k; part collects the bits of lo below 2k
     while True:
         if lo & k:
-            part = power if part is None else matmul(part, power, minimize, times)
+            part = power if part is None else matmul(part, power, sf)
         if k == hi:
             return part, power
-        power = matmul(power, power, minimize, times)
+        power = matmul(power, power, sf)
         k <<= 1
 
 
-def grid_scan(X, B, g, h, p, qc, minimize, times):
+def grid_scan(X, B, g, h, p, qc, sf):
     """Feasibility and objective value of every candidate point (row of X).
 
     A point x is feasible when ``B x <= x`` (semifield order) and
@@ -124,19 +123,15 @@ def grid_scan(X, B, g, h, p, qc, minimize, times):
     where qc is the conjugate of q.  Comparisons are exact (eps = 0);
     callers apply their tolerance policy when post-processing the values.
     """
-    asc = -1.0 if minimize else 1.0
+    asc = -1.0 if sf.minimize else 1.0
     feas = np.ones(X.shape[0], dtype=np.bool_)
     if B is not None:
-        prod = B[None, :, :] * X[:, None, :] if times else B[None, :, :] + X[:, None, :]
-        bx = prod.min(axis=2) if minimize else prod.max(axis=2)
+        bx = sf.add.reduce(sf.mul(B[None, :, :], X[:, None, :]), axis=2)
         feas &= (asc * bx <= asc * X).all(axis=1)
     if g is not None:
         feas &= (asc * g[None, :] <= asc * X).all(axis=1)
     if h is not None:
         feas &= (asc * X <= asc * h[None, :]).all(axis=1)
-    xinv = 1.0 / X if times else -X
-    t1 = xinv * p[None, :] if times else xinv + p[None, :]
-    t2 = qc[None, :] * X if times else qc[None, :] + X
-    both = np.concatenate([t1, t2], axis=1)
-    vals = both.min(axis=1) if minimize else both.max(axis=1)
-    return feas, vals
+    xinv = 1.0 / X if sf.times else -X
+    both = np.concatenate([sf.mul(xinv, p[None, :]), sf.mul(qc[None, :], X)], axis=1)
+    return feas, sf.add.reduce(both, axis=1)

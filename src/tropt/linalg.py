@@ -14,7 +14,7 @@ from . import _kernels
 from .errors import DimensionError, DomainError, SemifieldMismatchError
 from .semifield import Semifield, TropicalScalar
 
-__all__ = ["TropicalMatrix", "tmatrix", "tvector", "trow", "zeros", "identity"]
+__all__ = ["TropicalMatrix", "tmatrix", "tvector", "zeros", "identity"]
 
 
 class TropicalMatrix:
@@ -99,26 +99,8 @@ class TropicalMatrix:
         self._same_sf(other)
         if self.cols != other.rows:
             raise DimensionError(f"shape mismatch for product: {self.shape} x {other.shape}")
-        out = _kernels.matmul(self.data, other.data, self.sf.minimize, self.sf.times)
+        out = _kernels.matmul(self.data, other.data, self.sf)
         return TropicalMatrix(self.sf, out, _trusted=True)
-
-    def scale(self, x) -> "TropicalMatrix":
-        """Entrywise product with the scalar x."""
-        if isinstance(x, TropicalScalar):
-            if x.sf is not self.sf:
-                raise SemifieldMismatchError(
-                    f"cannot scale {self.sf.tag} matrix by {x.sf.tag} scalar"
-                )
-            x = x.value
-        else:
-            self.sf.validate(x)
-        return TropicalMatrix(self.sf, self.sf.mul(float(x), self.data), _trusted=True)
-
-    def trace(self) -> TropicalScalar:
-        self._require_square("trace")
-        diag = np.diagonal(self.data)
-        val = diag.min() if self.sf.minimize else diag.max()
-        return TropicalScalar(float(val), self.sf)
 
     def power_trace(self) -> TropicalScalar:
         """Combined trace of the powers 1..n: the heaviest closed walk of length <= n.
@@ -147,7 +129,7 @@ class TropicalMatrix:
         by no more than the default tolerance, that is by rounding.
         """
         self._require_square("star")
-        plus = _kernels.closure(self.data, self.sf.minimize, self.sf.times)
+        plus = _kernels.closure(self.data, self.sf)
         return TropicalMatrix(self.sf, self._star_from(plus), _trusted=True)
 
     def _star_and_power_trace(self):
@@ -160,15 +142,15 @@ class TropicalMatrix:
         passes the test up to rounding, with the star from squaring.
         """
         sf = self.sf
-        plus = _kernels.closure(self.data, sf.minimize, sf.times)
+        plus = _kernels.closure(self.data, sf)
         if plus is not None:
             star = self._star_from(plus)
-            trace = _kernels.product_trace(self.data, star, sf.minimize, sf.times)
+            trace = _kernels.product_trace(self.data, star, sf)
         elif self.rows == 1:
             star, trace = None, float(self.data[0, 0])
         else:
-            factors = _kernels.power_factors(self.data, self.rows, sf.minimize, sf.times)
-            star, trace = None, _kernels.product_trace(*factors, sf.minimize, sf.times)
+            factors = _kernels.power_factors(self.data, self.rows, sf)
+            star, trace = None, _kernels.product_trace(*factors, sf)
         if not sf.leq(trace, sf.one):
             return None, trace
         return (self._star_from(None) if star is None else star), trace
@@ -181,8 +163,8 @@ class TropicalMatrix:
             return sf.add(plus, eye)
         if n < 3:  # the exponent n - 1 is 0 or 1
             return eye if n == 1 else sf.add(eye, self.data)
-        factors = _kernels.power_factors(self.data, n - 1, sf.minimize, sf.times)
-        return _kernels.matmul(*factors, sf.minimize, sf.times)
+        factors = _kernels.power_factors(self.data, n - 1, sf)
+        return _kernels.matmul(*factors, sf)
 
     def conj(self) -> "TropicalMatrix":
         """Multiplicative conjugate transpose of a vector.
@@ -205,9 +187,6 @@ class TropicalMatrix:
     def is_regular(self) -> bool:
         """True for a vector with no zero components."""
         return not (self.column_values() == self.sf.zero).any()
-
-    def is_row_regular(self) -> bool:
-        return bool((self.data != self.sf.zero).any(axis=1).all())
 
     def is_column_regular(self) -> bool:
         return bool((self.data != self.sf.zero).any(axis=0).all())
@@ -259,14 +238,6 @@ def tvector(sf: Semifield, values) -> TropicalMatrix:
     if arr.ndim != 1:
         raise DimensionError(f"expected a flat list, got shape {arr.shape}")
     return TropicalMatrix(sf, arr.reshape(-1, 1))
-
-
-def trow(sf: Semifield, values) -> TropicalMatrix:
-    """Row vector from a flat list of numbers."""
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a flat list, got shape {arr.shape}")
-    return TropicalMatrix(sf, arr.reshape(1, -1))
 
 
 def zeros(sf: Semifield, rows: int, cols: int = 1) -> TropicalMatrix:

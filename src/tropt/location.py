@@ -139,6 +139,27 @@ def _maxplus_power(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] + b[None, :, :]).max(axis=1)
 
 
+def _best_walks(B: np.ndarray, length: int):
+    """Entrywise best walk weights over lengths 1..length, and B^length.
+
+    From length - 1 max-plus products; for length 0 the weights are all
+    -inf and the power is None.
+    """
+    beta = np.full(B.shape, _NEG_INF)
+    power = None
+    for _ in range(length):
+        power = B if power is None else _maxplus_power(power, B)
+        beta = np.maximum(beta, power)
+    return beta, power
+
+
+def _clamp_diagonal(beta: np.ndarray) -> np.ndarray:
+    out = beta.copy()
+    idx = np.arange(beta.shape[0])
+    out[idx, idx] = np.maximum(beta[idx, idx], 0.0)
+    return out
+
+
 def closure_entries(B) -> np.ndarray:
     """Path-closure matrix: best path weights with the diagonal clamped at 0.
 
@@ -150,16 +171,7 @@ def closure_entries(B) -> np.ndarray:
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise DimensionError(f"B must be square, got {B.shape}")
-    n = B.shape[0]
-    beta = np.full((n, n), _NEG_INF)
-    power = None
-    for _ in range(n - 1):
-        power = B if power is None else _maxplus_power(power, B)
-        beta = np.maximum(beta, power)
-    out = beta.copy()
-    idx = np.arange(n)
-    out[idx, idx] = np.maximum(beta[idx, idx], 0.0)
-    return out
+    return _clamp_diagonal(_best_walks(B, B.shape[0] - 1)[0])
 
 
 def solve_location(inst: LocationInstance) -> LocationSolution | InfeasibilityReport:
@@ -171,18 +183,17 @@ def solve_location(inst: LocationInstance) -> LocationSolution | InfeasibilityRe
     n = inst.n
     B = inst.B if inst.B is not None else np.full((n, n), _NEG_INF)
 
-    # cycle condition: best cycle weight over lengths 1..n
-    cycle_best = _NEG_INF
-    power = None
-    for _ in range(n):
-        power = B if power is None else _maxplus_power(power, B)
-        cycle_best = max(cycle_best, float(np.diagonal(power).max()))
+    # cycle condition: best cycle weight over lengths 1..n; the walks of
+    # lengths 1..n-1 also give the closure, and one more product B^n
+    beta, power = _best_walks(B, n - 1)
+    longest = B if power is None else _maxplus_power(power, B)
+    cycle_best = max(float(np.diagonal(beta).max()), float(np.diagonal(longest).max()))
     if cycle_best > 0:
         return InfeasibilityReport(
             InfeasibleReason.TR_EXCEEDS_ONE, MAX_PLUS.scalar(cycle_best)
         )
 
-    bstar = closure_entries(B)
+    bstar = _clamp_diagonal(beta)
     g = inst.g if inst.g is not None else np.full(n, _NEG_INF)
     if inst.h is not None:
         box_cond = float((bstar - inst.h[:, None] + g[None, :]).max())

@@ -183,7 +183,7 @@ def brute_force_min(
         X = grid.points(lead)
         sf.validate(X)
         rows = slice(lead.start * slab, lead.stop * slab)
-        feas[rows], vals[rows] = _kernels.grid_scan(X, B, g, h, p, qc, sf.minimize, sf.times)
+        feas[rows], vals[rows] = _kernels.grid_scan(X, B, g, h, p, qc, sf)
 
     count = int(feas.sum())
     if count == 0:

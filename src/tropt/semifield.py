@@ -47,15 +47,21 @@ class Semifield:
 
     All operations accept floats or numpy arrays and are pure.  ``minimize``
     selects min as the additive operation, ``times`` selects ordinary
-    multiplication as the multiplicative one.
+    multiplication as the multiplicative one.  The two operations are the
+    numpy ufuncs ``add`` (max or min) and ``mul`` (ordinary + or x), so
+    their ``reduce`` and ``outer`` forms serve whole arrays.  Within the
+    carrier the naive float operations never produce NaN: the two
+    infinities of opposite sign can never meet.
     """
 
-    __slots__ = ("kind", "minimize", "times", "zero", "one", "default_eps")
+    __slots__ = ("kind", "minimize", "times", "add", "mul", "zero", "one", "default_eps")
 
     def __init__(self, kind, *, minimize, times, zero, one, default_eps):
         self.kind = kind
         self.minimize = minimize
         self.times = times
+        self.add = np.minimum if minimize else np.maximum
+        self.mul = np.multiply if times else np.add
         self.zero = zero
         self.one = one
         self.default_eps = default_eps
@@ -102,26 +108,11 @@ class Semifield:
             inside = arr > -_INF if self.minimize else arr < _INF
         return bool(inside.all())
 
-    def is_zero(self, a):
-        return np.asarray(a) == self.zero if isinstance(a, np.ndarray) else a == self.zero
-
     # -- the semifield operations ---------------------------------------
-
-    def add(self, a, b):
-        """a + b in the semifield (max or min)."""
-        return np.minimum(a, b) if self.minimize else np.maximum(a, b)
-
-    def mul(self, a, b):
-        """a * b in the semifield (ordinary + or x).
-
-        Within the carrier the naive float operation never produces NaN:
-        the two infinities of opposite sign can never meet.
-        """
-        return np.multiply(a, b) if self.times else np.add(a, b)
 
     def inv(self, a):
         """Multiplicative inverse; rejects the semifield zero."""
-        if np.any(self.is_zero(a)):
+        if np.any(a == self.zero):
             raise DomainError(f"{self.tag}: the semifield zero has no inverse")
         return np.divide(1.0, a) if self.times else np.negative(a)
 
@@ -269,10 +260,6 @@ class TropicalScalar:
         other = self._check(other)
         return bool(self.sf.leq(self.value, other.value))
 
-    def __ge__(self, other):
-        other = self._check(other)
-        return bool(self.sf.leq(other.value, self.value))
-
     def __eq__(self, other):
         if not isinstance(other, TropicalScalar):
             return NotImplemented
@@ -284,13 +271,6 @@ class TropicalScalar:
     def eq(self, other, eps: float | None = None) -> bool:
         other = self._check(other)
         return bool(self.sf.eq(self.value, other.value, eps))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == self.sf.zero
-
-    def __float__(self):
-        return self.value
 
     def __repr__(self):
         return f"TropicalScalar({self.value!r}, {self.sf.tag!r})"

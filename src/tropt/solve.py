@@ -169,9 +169,6 @@ def _solve(B, p, q, g, h) -> SolutionSet | InfeasibilityReport:
     sf = p.sf
     _check_operands(sf, p, q, g, h, B)
 
-    def mm(a, b):
-        return _kernels.matmul(a, b, sf.minimize, sf.times)
-
     if B is None:
         gen = bstar = None
     else:
@@ -184,9 +181,9 @@ def _solve(B, p, q, g, h) -> SolutionSet | InfeasibilityReport:
     hc = np.full_like(qc, sf.zero) if h is None else sf.inv(h.data.T)
     rows = np.concatenate((qc, hc))  # conj(q) and conj(h), or that times B*
     if bstar is not None:
-        rows = mm(rows, bstar)
+        rows = _kernels.matmul(rows, bstar, sf)
     cols = np.concatenate((p.data, np.full_like(p.data, sf.zero) if g is None else g.data), axis=1)
-    terms = mm(rows, cols)  # [[q- B* p, q- B* g], [h- B* p, h- B* g]]
+    terms = _kernels.matmul(rows, cols, sf)  # [[q- B* p, q- B* g], [h- B* p, h- B* g]]
 
     box = terms[1, 1]
     if not sf.leq(box, sf.one):
@@ -202,7 +199,7 @@ def _solve(B, p, q, g, h) -> SolutionSet | InfeasibilityReport:
         lo = sf.add(g.data, lo)
     hi_conj = sf.add(hc, sf.mul(theta_inv, qc))
     if bstar is not None:
-        hi_conj = mm(hi_conj, bstar)
+        hi_conj = _kernels.matmul(hi_conj, bstar, sf)
     u = np.concatenate((lo, sf.inv(hi_conj).T), axis=1)  # the columns u_lo, u_hi
     return _finish(sf, theta, gen, u)
 
@@ -221,7 +218,7 @@ def _finish(sf, theta, gen, u) -> SolutionSet:
         )
     if gen is None:
         return SolutionSet(theta, identity(sf, u.shape[0]), u_lo, u_hi, u_lo, u_hi)
-    x = _kernels.matmul(gen.data, u, sf.minimize, sf.times)
+    x = _kernels.matmul(gen.data, u, sf)
     x_lo, x_hi = (TropicalMatrix(sf, x[:, k]) for k in (0, 1))
     return SolutionSet(theta, gen, u_lo, u_hi, x_lo, x_hi)
 

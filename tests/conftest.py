@@ -84,11 +84,12 @@ def _best_cycle(B):
 
 def power_trace_loop(a):
     """Reference for power_trace: tr(A) + ... + tr(A^n) from n - 1 full products."""
-    acc = a.trace().value
+    trace = lambda m: float(a.sf.add.reduce(np.diagonal(m.data)))
+    acc = trace(a)
     power = a
     for _ in range(a.rows - 1):
         power = power @ a
-        acc = float(a.sf.add(acc, power.trace().value))
+        acc = float(a.sf.add(acc, trace(power)))
     return acc
 
 

@@ -2,8 +2,9 @@
 
 ``matmul_loop``, ``closure_loop`` and ``grid_scan_loop`` below compute the
 same results one element at a time, with the semifield's order written out
-as comparisons.
-They are slow and serve only as the reference here.
+as comparisons and its product as ``+`` or ``*``: they read only
+``sf.minimize`` and ``sf.times``, not the ufuncs the kernels take from
+``sf``.  They are slow and serve only as the reference here.
 """
 
 import tracemalloc
@@ -14,10 +15,15 @@ import pytest
 import tropt as t
 from tropt._kernels import _BLOCK_ELEMENTS, closure, grid_scan, matmul
 
-FLAVORS = [(False, False), (True, False), (False, True), (True, True)]
+SEMIFIELDS = [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES]
+# The ids name each semifield by its (minimize, times) flags.
+over_semifields = pytest.mark.parametrize(
+    "sf", SEMIFIELDS, ids=lambda sf: f"{sf.minimize}-{sf.times}"
+)
 
 
-def matmul_loop(a, b, minimize, times):
+def matmul_loop(a, b, sf):
+    minimize, times = sf.minimize, sf.times
     m, n = a.shape
     l = b.shape[1]
     out = np.empty((m, l), dtype=np.float64)
@@ -36,8 +42,9 @@ def matmul_loop(a, b, minimize, times):
     return out
 
 
-def closure_loop(a, minimize, times):
+def closure_loop(a, sf):
     """Elimination that tests the whole diagonal after every pivot."""
+    minimize, times = sf.minimize, sf.times
     d = a.copy()
     n = d.shape[0]
     one = 1.0 if times else 0.0
@@ -54,7 +61,8 @@ def closure_loop(a, minimize, times):
     return d
 
 
-def grid_scan_loop(X, B, g, h, p, qc, minimize, times):
+def grid_scan_loop(X, B, g, h, p, qc, sf):
+    minimize, times = sf.minimize, sf.times
     N, n = X.shape
     feas = np.ones(N, dtype=np.bool_)
     vals = np.empty(N, dtype=np.float64)
@@ -104,46 +112,40 @@ def grid_scan_loop(X, B, g, h, p, qc, minimize, times):
     return feas, vals
 
 
-def _random_operands(rng, minimize, times, m, n, l):
+def _random_operands(rng, sf, m, n, l):
     a = rng.integers(-8, 9, size=(m, n)).astype(float)
     b = rng.integers(-8, 9, size=(n, l)).astype(float)
-    if times:
+    if sf.times:
         a = np.exp(a / 4)
         b = np.exp(b / 4)
     return a, b
 
 
-@pytest.mark.parametrize("minimize,times", FLAVORS)
-def test_matmul_variants_agree(minimize, times):
+@over_semifields
+def test_matmul_variants_agree(sf):
     rng = np.random.default_rng(61)
     for _ in range(50):
         m, n, l = rng.integers(1, 7, size=3)
-        a, b = _random_operands(rng, minimize, times, m, n, l)
-        got = matmul(a, b, minimize, times)
-        assert np.array_equal(got, matmul_loop(a, b, minimize, times))
+        a, b = _random_operands(rng, sf, m, n, l)
+        got = matmul(a, b, sf)
+        assert np.array_equal(got, matmul_loop(a, b, sf))
 
 
-@pytest.mark.parametrize("minimize,times", FLAVORS)
-def test_matmul_with_zeros_agrees(minimize, times):
-    sf = {
-        (False, False): t.MAX_PLUS,
-        (True, False): t.MIN_PLUS,
-        (False, True): t.MAX_TIMES,
-        (True, True): t.MIN_TIMES,
-    }[(minimize, times)]
+@over_semifields
+def test_matmul_with_zeros_agrees(sf):
     rng = np.random.default_rng(62)
     for _ in range(50):
         m, n, l = rng.integers(1, 6, size=3)
-        a, b = _random_operands(rng, minimize, times, m, n, l)
+        a, b = _random_operands(rng, sf, m, n, l)
         a[rng.random(a.shape) < 0.3] = sf.zero
         b[rng.random(b.shape) < 0.3] = sf.zero
-        got = matmul(a, b, minimize, times)
-        assert np.array_equal(got, matmul_loop(a, b, minimize, times))
+        got = matmul(a, b, sf)
+        assert np.array_equal(got, matmul_loop(a, b, sf))
         assert not np.isnan(got).any()
 
 
-@pytest.mark.parametrize("minimize,times", FLAVORS)
-def test_closure_variants_agree(minimize, times):
+@over_semifields
+def test_closure_variants_agree(sf):
     # Integer and real-valued weights, with and without a cycle above one.
     rng = np.random.default_rng(64)
     verdicts = []
@@ -153,17 +155,17 @@ def test_closure_variants_agree(minimize, times):
         if k % 2:
             e += rng.uniform(-0.5, 0.5, size=(n, n))
         e[rng.random((n, n)) < 0.2] = -np.inf
-        e = -e if minimize else e
-        a = np.exp(e / 4) if times else e
-        got, ref = closure(a, minimize, times), closure_loop(a, minimize, times)
+        e = -e if sf.minimize else e
+        a = np.exp(e / 4) if sf.times else e
+        got, ref = closure(a, sf), closure_loop(a, sf)
         verdicts.append(ref is None)
         assert (got is None) == (ref is None)
         assert ref is None or np.array_equal(got, ref)
     assert 20 < sum(verdicts) < 180
 
 
-@pytest.mark.parametrize("minimize,times", FLAVORS)
-def test_grid_scan_variants_agree(minimize, times):
+@over_semifields
+def test_grid_scan_variants_agree(sf):
     rng = np.random.default_rng(63)
     for _ in range(30):
         n = int(rng.integers(1, 4))
@@ -174,33 +176,32 @@ def test_grid_scan_variants_agree(minimize, times):
         h = rng.integers(0, 11, size=n).astype(float)
         p = rng.integers(-10, 11, size=n).astype(float)
         qc = rng.integers(-10, 11, size=n).astype(float)
-        if times:
+        if sf.times:
             X, B, g, h, p, qc = (np.exp(v / 8) for v in (X, B, g, h, p, qc))
-        if minimize:
+        if sf.minimize:
             g, h = h, g
         for B_arg in (None, B):
             for g_arg, h_arg in ((None, None), (g, h)):
-                args = (X, B_arg, g_arg, h_arg, p, qc, minimize, times)
+                args = (X, B_arg, g_arg, h_arg, p, qc, sf)
                 f1, v1 = grid_scan(*args)
                 f2, v2 = grid_scan_loop(*args)
                 assert np.array_equal(f1, f2)
                 assert np.array_equal(v1, v2)
 
 
-@pytest.mark.parametrize("minimize,times", FLAVORS)
+@over_semifields
 @pytest.mark.parametrize("m,n,l", [(97, 40, 40), (3, 260, 260), (45, 30, 70)])
-def test_blocked_matmul_agrees(minimize, times, m, n, l):
+def test_blocked_matmul_agrees(sf, m, n, l):
     # Above the element budget, with a last row block shorter than the rest
     # (or one row per block when a single row exceeds the budget).
     rows_per_block = max(1, _BLOCK_ELEMENTS // (n * l))
     assert m * n * l > _BLOCK_ELEMENTS and (rows_per_block == 1 or m % rows_per_block)
-    zero = np.inf if minimize else (0.0 if times else -np.inf)
     rng = np.random.default_rng(65)
-    a, b = _random_operands(rng, minimize, times, m, n, l)
-    a[rng.random(a.shape) < 0.3] = zero
-    b[rng.random(b.shape) < 0.3] = zero
-    got = matmul(a, b, minimize, times)
-    assert np.array_equal(got, matmul_loop(a, b, minimize, times))
+    a, b = _random_operands(rng, sf, m, n, l)
+    a[rng.random(a.shape) < 0.3] = sf.zero
+    b[rng.random(b.shape) < 0.3] = sf.zero
+    got = matmul(a, b, sf)
+    assert np.array_equal(got, matmul_loop(a, b, sf))
     assert not np.isnan(got).any()
 
 
@@ -208,7 +209,7 @@ def test_blocked_matmul_memory_is_bounded():
     a = np.random.default_rng(66).uniform(-8, 8, size=(256, 256))
     tracemalloc.start()
     try:
-        matmul(a, a, False, False)
+        matmul(a, a, t.MAX_PLUS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -54,19 +54,6 @@ class TestBasicOps:
         with pytest.raises(DimensionError):
             t.zeros(mp, 2, 2) @ t.zeros(mp, 3, 1)
 
-    def test_scalar_mul(self, mp):
-        v = t.tvector(mp, [-12, -8])
-        assert v.scale(11).tolist() == [[-1], [3]]
-        assert v.scale(mp.scalar(mp.one)) == v
-        assert v.scale(mp.zero).is_zero()
-
-    def test_trace(self, worked, mp):
-        assert worked["B"].trace() == mp.scalar(0)
-        assert t.identity(mp, 3).trace() == mp.scalar(mp.one)
-        assert t.zeros(mp, 2, 2).trace() == mp.scalar(mp.zero)
-        with pytest.raises(DimensionError):
-            t.zeros(mp, 2, 3).trace()
-
     def test_power_trace(self, worked, mp):
         # second power of B is [[0, -4], [-8, -12]]; both traces are 0
         b2 = worked["B"] @ worked["B"]
@@ -108,7 +95,7 @@ class TestBasicOps:
     def test_hash_agrees_with_eq_on_signed_zero(self, mp):
         # conj negates 0.0 into -0.0, which == 0.0 but has other bytes
         v = t.tvector(mp, [0, 2])
-        w = t.trow(mp, [0, -2])
+        w = t.tmatrix(mp, [[0, -2]])
         assert v.conj() == w
         assert hash(v.conj()) == hash(w)
         assert len({v.conj(), w}) == 1
@@ -117,9 +104,9 @@ class TestBasicOps:
         assert t.tvector(mp, [3, 14]).is_regular()
         assert not t.tvector(mp, [2, mp.zero]).is_regular()
         z = t.zeros(mp, 2, 2)
-        assert not z.is_row_regular() and not z.is_column_regular()
+        assert not z.is_column_regular()
         a = t.tmatrix(mp, [[1, mp.zero], [mp.zero, 2]])
-        assert a.is_row_regular() and a.is_column_regular()
+        assert a.is_column_regular()
 
 
 @pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
@@ -143,7 +130,7 @@ class TestVectorIdentities:
             # x conj(y) dominates inv(conj(x) y) I
             lhs = x @ y.conj()
             scal = (x.conj() @ y).as_scalar().inv()
-            assert t.identity(sf, n).scale(scal).leq(lhs, eps)
+            assert t.TropicalMatrix(sf, sf.mul(scal.value, t.identity(sf, n).data)).leq(lhs, eps)
 
     def test_conjugation_antitone(self, sf):
         rng = np.random.default_rng(12)
@@ -161,7 +148,7 @@ class TestVectorIdentities:
             n = int(rng.integers(1, 5))
             a = random_matrix(rng, sf, n, n, zero_frac=0.4)
             x = random_matrix(rng, sf, n, 1, zero_frac=0)
-            if a.is_row_regular():
+            if (a.data != sf.zero).any(axis=1).all():
                 assert (a @ x).is_regular()
             if a.is_column_regular():
                 assert (x.conj() @ a).is_regular()
@@ -255,10 +242,10 @@ def test_power_trace_matches_loop_reference(sf, planted):
     for a in _reference_cases(sf, planted):
         ref = power_trace_loop(a)
         assert a.power_trace().value == ref
-        assert _kernels.product_trace(a.data, star_squaring_loop(a).data, sf.minimize, sf.times) == ref
+        assert _kernels.product_trace(a.data, star_squaring_loop(a).data, sf) == ref
         exceeds = not sf.leq(ref, sf.one, 0.0)
         assert exceeds == planted
-        assert (_kernels.closure(a.data, sf.minimize, sf.times) is None) == exceeds
+        assert (_kernels.closure(a.data, sf) is None) == exceeds
         ones = t.tvector(sf, [sf.one] * a.rows)
         result = t.solve_general(a, ones, ones)
         if planted:
@@ -305,10 +292,10 @@ def test_cycle_above_one_by_rounding_still_solves(sf):
     # tolerance, so the solve takes the star from squaring, as star() does.
     s = -1.0 if sf.minimize else 1.0
     a = t.tmatrix(sf, s * np.array([[-5, 1, -np.inf], [-np.inf, -5, 1], [-2 + 1e-12, -np.inf, -5]]))
-    assert _kernels.closure(a.data, sf.minimize, sf.times) is None
+    assert _kernels.closure(a.data, sf) is None
     value = a.power_trace().value
     assert value != sf.one and sf.leq(value, sf.one)
-    assert value == _kernels.product_trace(a.data, star_squaring_loop(a).data, sf.minimize, sf.times)
+    assert value == _kernels.product_trace(a.data, star_squaring_loop(a).data, sf)
     ones = t.tvector(sf, [sf.one] * 3)
     sol = t.solve_general(a, ones, ones)
     assert isinstance(sol, t.SolutionSet)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tropt as t
+from tropt import location
 from tropt.errors import DimensionError, DomainError
 
 from conftest import POINTS, WEIGHTS, WORKED, random_feasible_instance
@@ -178,6 +179,28 @@ class TestSolveLocation:
         assert isinstance(rep, t.InfeasibilityReport)
         assert rep.reason is t.InfeasibleReason.BOUNDS_INCOMPATIBLE
         assert rep.detail.value == 5
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_each_power_is_made_once(self, n, monkeypatch):
+        # The cycle test reads B^1..B^n and the closure B^1..B^(n-1): one
+        # run of n - 1 products serves both, where closure_entries alone
+        # takes n - 2.
+        calls = []
+        power = location._maxplus_power
+
+        def counting_power(a, b):
+            calls.append(a.shape)
+            return power(a, b)
+
+        monkeypatch.setattr(location, "_maxplus_power", counting_power)
+        rng = np.random.default_rng(56)
+        B = rng.integers(-6, 1, size=(n, n)).astype(float)
+        inst = t.LocationInstance(rng.integers(-10, 11, size=(4, n)).astype(float), np.ones(4), B=B)
+        sol = t.solve_location(inst)
+        assert isinstance(sol, t.LocationSolution)
+        assert len(calls) == n - 1
+        assert np.array_equal(sol.closure, t.closure_entries(B))
+        assert len(calls) == 2 * n - 3
 
     def test_agrees_with_algebraic_path(self):
         # the conventional-arithmetic solver and the semifield solver are

@@ -109,14 +109,14 @@ def counted(monkeypatch):
     calls = {"closure": [], "matmul": []}
     closure, matmul = _kernels.closure, _kernels.matmul
 
-    def counting_closure(a, minimize, times):
-        out = closure(a, minimize, times)
+    def counting_closure(a, sf):
+        out = closure(a, sf)
         calls["closure"].append((a.shape, out is None))
         return out
 
-    def counting_matmul(a, b, minimize, times):
+    def counting_matmul(a, b, sf):
         calls["matmul"].append((a.shape, b.shape))
-        return matmul(a, b, minimize, times)
+        return matmul(a, b, sf)
 
     monkeypatch.setattr(_kernels, "closure", counting_closure)
     monkeypatch.setattr(_kernels, "matmul", counting_matmul)

@@ -174,8 +174,7 @@ def _one_shot(inst, grid, eps=None):
         inst.h.data.reshape(-1) if inst.h is not None else None,
         inst.p.data.reshape(-1),
         inst.q.conj().data.reshape(-1),
-        sf.minimize,
-        sf.times,
+        sf,
     )
     fvals = vals[feas]
     best = float(fvals.max() if sf.minimize else fvals.min())

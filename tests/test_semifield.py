@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -67,6 +69,8 @@ class TestDefinitions:
         assert not s(t.MAX_PLUS, 5) <= s(t.MAX_PLUS, 3)
         assert s(t.MIN_PLUS, 5) <= s(t.MIN_PLUS, 3)
         assert s(t.MIN_TIMES, 4) <= s(t.MIN_TIMES, 2)
+        # >= is the reflected <=
+        assert s(t.MIN_PLUS, 3) >= s(t.MIN_PLUS, 5) and not s(t.MAX_PLUS, 3) >= s(t.MAX_PLUS, 5)
 
     def test_kind_mismatch(self):
         with pytest.raises(SemifieldMismatchError):
@@ -75,6 +79,8 @@ class TestDefinitions:
             s(t.MAX_TIMES, 1) * s(t.MIN_TIMES, 1)
         with pytest.raises(SemifieldMismatchError):
             s(t.MAX_PLUS, 1) <= s(t.MAX_TIMES, 1)
+        with pytest.raises(SemifieldMismatchError):
+            s(t.MAX_PLUS, 1) >= s(t.MAX_TIMES, 1)
 
     def test_carrier_validation(self):
         with pytest.raises(DomainError):
@@ -158,11 +164,28 @@ class TestProperties:
 
 
 def test_array_ops_match_scalar_ops():
+    # The array forms the kernels use (elementwise, reduce and outer)
+    # against TropicalScalar arithmetic, one element at a time.
     rng = np.random.default_rng(7)
-    a = rng.integers(-10, 11, size=12).astype(float)
-    b = rng.integers(-10, 11, size=12).astype(float)
-    sf = t.MAX_PLUS
-    assert np.array_equal(sf.add(a, b), np.maximum(a, b))
-    assert np.array_equal(sf.mul(a, b), a + b)
-    assert np.array_equal(sf.inv(a), -a)
-    assert np.array_equal(sf.leq(a, b), a <= b)
+    for sf in ALL:
+        a, b = rng.integers(-10, 11, size=(2, 12)).astype(float)
+        if sf.times:
+            a, b = np.exp2(a), np.exp2(b)
+        if sf is t.MAX_PLUS:
+            assert np.array_equal(sf.add(a, b), np.maximum(a, b))
+            assert np.array_equal(sf.mul(a, b), a + b)
+            assert np.array_equal(sf.inv(a), -a)
+            assert np.array_equal(sf.leq(a, b), a <= b)
+        assert np.array_equal(sf.inv(a), [s(sf, x).inv().value for x in a])
+        a[::5] = sf.zero
+        b[1::4] = sf.zero
+        pairs = [(s(sf, x), s(sf, y)) for x, y in zip(a, b)]
+        assert np.array_equal(sf.add(a, b), [(x + y).value for x, y in pairs])
+        assert np.array_equal(sf.mul(a, b), [(x * y).value for x, y in pairs])
+        assert np.array_equal(sf.leq(a, b), [x <= y for x, y in pairs])
+        assert sf.add.reduce(a) == functools.reduce(operator.add, (x for x, _ in pairs)).value
+        outer = [[(x * y).value for _, y in pairs] for x, _ in pairs]
+        assert np.array_equal(sf.mul.outer(a, b), outer)
+        assert np.array_equal(sf.add.reduce(sf.mul.outer(a, b), axis=1), [
+            functools.reduce(operator.add, (x * y for _, y in pairs)).value for x, _ in pairs
+        ])
