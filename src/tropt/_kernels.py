@@ -9,18 +9,22 @@ meet, so no NaN can appear.  The semifield is tested only for the
 direction of its order and, in the grid scan, for the form of the
 inverse.
 
-Products and the oracle's grid scan broadcast a rank-3 temporary and
-reduce it.  They run over row blocks (:func:`row_blocks`) whose temporary
-holds at most ``_BLOCK_ELEMENTS`` elements, a fixed budget: ``matmul``
-over the rows of its left factor, the oracle over slabs of its grid, one
-:func:`grid_scan` per slab.  Operands that fit in one block run the
-unblocked expression.  Blocking changes which rows share a temporary, not
-the float operations on any row, so the results are bit-identical, and
-the oracle's memory is O(budget + N) for N grid points instead of
-O(N n^2).
+Products broadcast a rank-3 temporary and reduce it.  ``matmul`` runs
+over row blocks of its left factor (:func:`row_blocks`) whose temporary
+holds at most ``_BLOCK_ELEMENTS`` elements, a fixed budget; operands that
+fit in one block run the unblocked expression.  Blocking changes which
+rows share a temporary, not the float operations on any row, so the
+results are bit-identical.
+
+The oracle's :func:`grid_scan` builds no point and no rank-3 temporary:
+it works from the grid's axes, with tables over one or two axes at a
+time, so its memory is a few arrays of one entry per grid point.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -29,13 +33,33 @@ __all__ = ["matmul", "product_trace", "closure", "power_factors", "grid_scan"]
 
 # Elements of the broadcast temporary per row block: 512 KB of float64.
 _BLOCK_ELEMENTS = 1 << 16
+# Work arrays from this many elements up start on a 64-byte line.
+_ALIGN_ELEMENTS = 1 << 10
+
+
+def _empty(shape):
+    """An uninitialised float64 work array, from ``_ALIGN_ELEMENTS`` up on a 64-byte line.
+
+    ``np.empty`` starts where the allocator says, so a work array's offset
+    within its cache lines follows the process's allocation history, and
+    :func:`closure` and the blocked :func:`matmul` run up to 1.6x slower
+    off the line.  The aligned array is a slice of a buffer seven elements
+    longer; below the size floor the slice would cost more than it saves.
+    """
+    size = math.prod(shape)
+    if size < _ALIGN_ELEMENTS:
+        return np.empty(shape)
+    buf = np.empty(size + 7)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start:start + size].reshape(shape)
 
 
 def row_blocks(rows, row_elements):
     """Slices that cover ``range(rows)`` in order, each a block of whole rows.
 
     A row costs ``row_elements`` temporary elements; a block holds as many
-    rows as fit in ``_BLOCK_ELEMENTS``, and at least one.
+    rows as fit in ``_BLOCK_ELEMENTS``, and at least one.  :func:`matmul` is
+    the only caller.
     """
     step = max(1, _BLOCK_ELEMENTS // max(1, row_elements))
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
@@ -45,14 +69,18 @@ def matmul(a, b, sf):
     """(m,n) x (n,l) tropical product via broadcasting, over row blocks of a.
 
     Operands within the budget take the one-line broadcast; larger ones
-    reduce the same broadcast block by block into ``out``.
+    reduce the same broadcast block by block into ``out``, through one
+    temporary that every block reuses.
     """
     if a.size * b.shape[1] <= _BLOCK_ELEMENTS:
         return sf.add.reduce(sf.mul(a[:, :, None], b[None, :, :]), axis=1)
     mul, reduce = sf.mul, sf.add.reduce
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.float64)
-    for rows in row_blocks(a.shape[0], b.size):
-        reduce(mul(a[rows, :, None], b[None, :, :]), axis=1, out=out[rows])
+    out = _empty((a.shape[0], b.shape[1]))
+    blocks = row_blocks(a.shape[0], b.size)
+    temp = _empty((blocks[0].stop, *b.shape))
+    for rows in blocks:
+        part = temp[:rows.stop - rows.start]
+        reduce(mul(a[rows, :, None], b[None, :, :], out=part), axis=1, out=out[rows])
     return out
 
 
@@ -73,9 +101,10 @@ def closure(a, sf):
     through k over the lower pivots, so a heavy cycle shows there at its
     highest node.
     """
-    d = np.array(a, dtype=np.float64, copy=True)
+    d = _empty(a.shape)
+    d[...] = a
     better, outer, one, minimize = sf.add, sf.mul.outer, sf.one, sf.minimize
-    through = np.empty_like(d)
+    through = _empty(d.shape)
     for k in range(d.shape[0]):
         if (d[k, k] < one) if minimize else (d[k, k] > one):
             return None
@@ -114,24 +143,59 @@ def power_factors(a, e, sf):
         k <<= 1
 
 
-def grid_scan(X, B, g, h, p, qc, sf):
-    """Feasibility and objective value of every candidate point (row of X).
+def _fold(op, terms, shape):
+    """``op`` over ``terms`` from the left, flat; the terms span ``shape`` together.
 
-    A point x is feasible when ``B x <= x`` (semifield order) and
-    ``g <= x <= h``; a ``None`` for ``B``, ``g`` or ``h`` drops that
+    The running result takes on the terms' axes as they come, so it stays
+    small until a term spans the rest of the grid; from then on it is
+    updated in place.
+    """
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = op(acc, term, out=acc if acc.shape == shape else None)
+    return acc.ravel()
+
+
+def grid_scan(axes, B, g, h, p, qc, sf):
+    """Feasibility and objective value of every point of the product grid.
+
+    ``axes`` holds the n grid axes; the grid's points are all x with x_i in
+    ``axes[i]``.  A point is feasible when ``B x <= x`` (semifield order)
+    and ``g <= x <= h``; a ``None`` for ``B``, ``g`` or ``h`` drops that
     constraint.  The objective is ``(+)_i inv(x_i) p_i (+) (+)_i qc_i x_i``,
     where qc is the conjugate of q.  Comparisons are exact (eps = 0);
     callers apply their tolerance policy when post-processing the values.
+    Both results are flat, in lexicographic (C) order of the points.
+
+    No point is built.  Since (+) is max or min, ``(B x)_i <= x_i`` holds
+    exactly when ``b_ij x_j <= x_i`` for every j, a table over axes i and
+    j; and the objective is a sum of terms that each live on one axis.
+    The terms are summed in the order written above, so that a tie
+    between -0.0 and +0.0 resolves as in one reduction over all 2n terms.
     """
+    n = len(axes)
+    shape = tuple(len(v) for v in axes)
     asc = -1.0 if sf.minimize else 1.0
-    feas = np.ones(X.shape[0], dtype=np.bool_)
-    if B is not None:
-        bx = sf.add.reduce(sf.mul(B[None, :, :], X[:, None, :]), axis=2)
-        feas &= (asc * bx <= asc * X).all(axis=1)
-    if g is not None:
-        feas &= (asc * g[None, :] <= asc * X).all(axis=1)
-    if h is not None:
-        feas &= (asc * X <= asc * h[None, :]).all(axis=1)
-    xinv = 1.0 / X if sf.times else -X
-    both = np.concatenate([sf.mul(xinv, p[None, :]), sf.mul(qc[None, :], X)], axis=1)
-    return feas, sf.add.reduce(both, axis=1)
+    x = [v.reshape([-1 if k == i else 1 for k in range(n)]) for i, v in enumerate(axes)]
+
+    def leq(a, b):  # a <= b in the semifield order, over the axes of both
+        return asc * a <= asc * b
+
+    # The constraints on axes i and j only (i >= j), ANDed while the
+    # tables are small; then the pairs in order of their highest axis.
+    tables = {(i, i): [np.ones(x[i].shape, dtype=np.bool_)] for i in range(n)}
+    for i in range(n):
+        if g is not None:
+            tables[i, i].append(leq(g[i], x[i]))
+        if h is not None:
+            tables[i, i].append(leq(x[i], h[i]))
+        if B is not None:
+            for j in range(n):
+                key = (max(i, j), min(i, j))
+                tables.setdefault(key, []).append(leq(sf.mul(B[i, j], x[j]), x[i]))
+    pairs = [functools.reduce(np.logical_and, tables[key]) for key in sorted(tables)]
+    feas = _fold(np.logical_and, pairs, shape)
+
+    inv = [1.0 / v if sf.times else -v for v in x]
+    terms = [sf.mul(inv[i], p[i]) for i in range(n)] + [sf.mul(qc[i], x[i]) for i in range(n)]
+    return feas, _fold(sf.add, terms, shape)

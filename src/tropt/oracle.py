@@ -80,14 +80,9 @@ class GridSpec:
     def point_count(self) -> int:
         return math.prod(self._counts)
 
-    def points(self, lead: slice = slice(None)) -> np.ndarray:
-        """Grid points in lexicographic order, one per row.
-
-        ``lead`` selects a run of the first axis; the points returned are
-        then that slab of the whole list.
-        """
+    def points(self) -> np.ndarray:
+        """Grid points in lexicographic order, one per row."""
         axes = [self.axis(i) for i in range(len(self.lower))]
-        axes[0] = axes[0][lead]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
@@ -157,10 +152,11 @@ def brute_force_min(
     Only dimensions up to 3 are supported; the point count is capped by
     the GridSpec guard.  Argmins are reported in lexicographic order.
 
-    The grid is scanned in blocks of whole slabs of its first axis, each
-    validated and scanned on its own, under the kernels' element budget.
-    Only the feasibility flag and objective value of every point are kept,
-    so memory is O(budget + N) for N points, not O(N n^2).
+    The grid is scanned from its axes (:func:`_kernels.grid_scan`), without
+    building a point; the axes are validated, which checks every value a
+    point can hold.  Memory is O(N) for N points: a feasibility flag and an
+    objective value per point, then the values and tolerance test of the
+    feasible points only.
     """
     sf = inst.sf
     if inst.n > 3:
@@ -176,21 +172,15 @@ def brute_force_min(
     qc = inst.q.conj().data.reshape(-1)
     p = inst.p.data.reshape(-1)
 
-    feas = np.empty(grid.point_count(), dtype=np.bool_)
-    vals = np.empty(grid.point_count(), dtype=np.float64)
-    slab = math.prod(grid._counts[1:])  # points per index of the first axis
-    for lead in _kernels.row_blocks(grid._counts[0], slab * inst.n * inst.n):
-        X = grid.points(lead)
-        sf.validate(X)
-        rows = slice(lead.start * slab, lead.stop * slab)
-        feas[rows], vals[rows] = _kernels.grid_scan(X, B, g, h, p, qc, sf)
-
-    count = int(feas.sum())
-    if count == 0:
-        return OracleResult(None, [], 0)
+    axes = [grid.axis(i) for i in range(inst.n)]
+    sf.validate(np.concatenate(axes))
+    feas, vals = _kernels.grid_scan(axes, B, g, h, p, qc, sf)
     fvals = vals[feas]
+    del vals
+    if fvals.size == 0:
+        return OracleResult(None, [], 0)
     best = float(fvals.max() if sf.minimize else fvals.min())
-    hit = feas & np.asarray(sf.eq(vals, best, eps))
-    index = np.unravel_index(np.flatnonzero(hit), grid._counts)
-    argmins = np.stack([grid.axis(i)[k] for i, k in enumerate(index)], axis=1)
-    return OracleResult(TropicalScalar(best, sf), list(argmins), count)
+    hit = np.flatnonzero(feas)[np.asarray(sf.eq(fvals, best, eps))]
+    index = np.unravel_index(hit, grid._counts)
+    argmins = np.stack([axes[i][k] for i, k in enumerate(index)], axis=1)
+    return OracleResult(TropicalScalar(best, sf), list(argmins), int(fvals.size))

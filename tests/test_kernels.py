@@ -62,6 +62,12 @@ def closure_loop(a, sf):
 
 
 def grid_scan_loop(X, B, g, h, p, qc, sf):
+    """Feasibility and objective of each row of X.
+
+    The objective sums the terms inv(x_i) p_i for every i, then qc_i x_i for
+    every i; on a tie the later term wins, as numpy's maximum and minimum
+    return their second argument, which decides between -0.0 and +0.0.
+    """
     minimize, times = sf.minimize, sf.times
     N, n = X.shape
     feas = np.ones(N, dtype=np.bool_)
@@ -93,23 +99,20 @@ def grid_scan_loop(X, B, g, h, p, qc, sf):
                     ok = False
                     break
         feas[r] = ok
-        obj = np.inf if minimize else -np.inf
-        for i in range(n):
-            xi = X[r, i]
-            a = (1.0 / xi) * p[i] if times else p[i] - xi
-            b = qc[i] * xi if times else qc[i] + xi
-            if minimize:
-                if a < obj:
-                    obj = a
-                if b < obj:
-                    obj = b
-            else:
-                if a > obj:
-                    obj = a
-                if b > obj:
-                    obj = b
+        terms = [(1.0 / X[r, i]) * p[i] if times else p[i] - X[r, i] for i in range(n)]
+        terms += [qc[i] * X[r, i] if times else qc[i] + X[r, i] for i in range(n)]
+        obj = terms[0]
+        for v in terms[1:]:
+            if (v <= obj) if minimize else (v >= obj):
+                obj = v
         vals[r] = obj
     return feas, vals
+
+
+def product_points(axes):
+    """Every point of the grid over ``axes``, one per row, in lexicographic order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
 def _random_operands(rng, sf, m, n, l):
@@ -166,27 +169,53 @@ def test_closure_variants_agree(sf):
 
 @over_semifields
 def test_grid_scan_variants_agree(sf):
+    # Every point of each product grid against the loop, by bytes: B, g and
+    # h each absent, present or holding zeros; axes of length 1; in the
+    # plus semifields -0.0 in p and in conj(q) (from q_i = 0), and axes
+    # that cross 0, some through -0.0.
     rng = np.random.default_rng(63)
-    for _ in range(30):
+    for k in range(30):
         n = int(rng.integers(1, 4))
-        N = int(rng.integers(1, 200))
-        X = rng.integers(-10, 11, size=(N, n)).astype(float)
+        sizes = [1] * n if k % 10 == 0 else rng.integers(1, 7, size=n)
+        axes = [rng.integers(-4, 2) + 0.5 * np.arange(c) for c in sizes]
+        if k % 3 == 0:
+            axes = [np.where(v == 0, -0.0, v) for v in axes]
         B = rng.integers(-6, 1, size=(n, n)).astype(float)
-        g = rng.integers(-10, 0, size=n).astype(float)
-        h = rng.integers(0, 11, size=n).astype(float)
-        p = rng.integers(-10, 11, size=n).astype(float)
-        qc = rng.integers(-10, 11, size=n).astype(float)
+        g = rng.integers(-4, 1, size=n).astype(float)
+        h = rng.integers(0, 3, size=n).astype(float)
+        p = rng.integers(-2, 3, size=n).astype(float)
+        qc = -rng.integers(-2, 3, size=n).astype(float)
+        p[p == 0] = -0.0
         if sf.times:
-            X, B, g, h, p, qc = (np.exp(v / 8) for v in (X, B, g, h, p, qc))
+            axes = [np.exp(v / 8) for v in axes]
+            B, g, h, p, qc = (np.exp(v / 8) for v in (B, g, h, p, qc))
         if sf.minimize:
             g, h = h, g
-        for B_arg in (None, B):
-            for g_arg, h_arg in ((None, None), (g, h)):
-                args = (X, B_arg, g_arg, h_arg, p, qc, sf)
-                f1, v1 = grid_scan(*args)
-                f2, v2 = grid_scan_loop(*args)
-                assert np.array_equal(f1, f2)
-                assert np.array_equal(v1, v2)
+        zeros = [v.copy() for v in (B, g, h)]
+        for v in zeros:
+            v[rng.random(v.shape) < 0.4] = sf.zero
+        X = product_points(axes)
+        for B_arg in (None, B, zeros[0]):
+            for g_arg in (None, g, zeros[1]):
+                for h_arg in (None, h, zeros[2]):
+                    args = (B_arg, g_arg, h_arg, p, qc, sf)
+                    f1, v1 = grid_scan(axes, *args)
+                    f2, v2 = grid_scan_loop(X, *args)
+                    assert f1.tobytes() == f2.tobytes()
+                    assert v1.tobytes() == v2.tobytes()
+
+
+def test_grid_scan_signed_zero_tie_goes_to_the_later_term():
+    # At x = (0, 0) the terms are p_0 - x_0 = 3, p_1 - x_1 = -0.0,
+    # q_0^- + x_0 = +0.0 and q_1^- + x_1 = 2: the min-plus sum takes the
+    # later of the tied zeros, which an interleaved or q-first order would not.
+    sf = t.MIN_PLUS
+    axes = [np.array([0.0, 1.0]), np.array([0.0])]
+    p, qc = np.array([3.0, -0.0]), np.array([-0.0, 2.0])
+    feas, vals = grid_scan(axes, None, None, None, p, qc, sf)
+    assert feas.tolist() == [True, True]
+    assert vals.tobytes() == np.array([0.0, -0.0]).tobytes()
+    assert vals.tobytes() == grid_scan_loop(product_points(axes), None, None, None, p, qc, sf)[1].tobytes()
 
 
 @over_semifields
@@ -214,3 +243,18 @@ def test_blocked_matmul_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8e6  # the unblocked broadcast takes 134 MB
+
+
+def test_large_work_arrays_start_on_a_cache_line():
+    # Whatever the allocations before them, closure's result and a blocked
+    # product start on a 64-byte line; a small closure takes plain np.empty.
+    rng = np.random.default_rng(67)
+    a = -rng.uniform(0.5, 8, size=(64, 64))
+    np.fill_diagonal(a, -1.0)
+    kept = []
+    for _ in range(8):
+        kept.append(np.empty(int(rng.integers(1, 64))))
+        assert closure(a, t.MAX_PLUS).ctypes.data % 64 == 0
+        assert matmul(a, a, t.MAX_PLUS).ctypes.data % 64 == 0
+    small = closure(a[:8, :8], t.MAX_PLUS)
+    assert small.base is None and np.array_equal(small, closure_loop(a[:8, :8], t.MAX_PLUS))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import tropt as t
-from tropt import _kernels
 from tropt.errors import DomainError, GridGuardError, TroptError
 
 from conftest import as_instance, random_feasible_instance
@@ -163,11 +162,31 @@ class TestBruteForce:
                 assert t.contains(sol, inst, t.tvector(mp, a))
 
 
-def _one_shot(inst, grid, eps=None):
-    """The oracle's answer from one unblocked scan of the whole grid."""
+def grid_scan_rows(X, B, g, h, p, qc, sf):
+    """Feasibility and objective of each row of X, one broadcast over all rows.
+
+    A reference that builds every point: ``B x`` is an N x n x n broadcast
+    and the objective one reduction over the 2n terms of each row.
+    """
+    asc = -1.0 if sf.minimize else 1.0
+    feas = np.ones(X.shape[0], dtype=np.bool_)
+    if B is not None:
+        bx = sf.add.reduce(sf.mul(B[None, :, :], X[:, None, :]), axis=2)
+        feas &= (asc * bx <= asc * X).all(axis=1)
+    if g is not None:
+        feas &= (asc * g[None, :] <= asc * X).all(axis=1)
+    if h is not None:
+        feas &= (asc * X <= asc * h[None, :]).all(axis=1)
+    xinv = 1.0 / X if sf.times else -X
+    both = np.concatenate([sf.mul(xinv, p[None, :]), sf.mul(qc[None, :], X)], axis=1)
+    return feas, sf.add.reduce(both, axis=1)
+
+
+def _point_wise(inst, grid, eps=None):
+    """The oracle's answer from a scan of every point of the grid, built as a row."""
     sf = inst.sf
     X = grid.points()
-    feas, vals = _kernels.grid_scan(
+    feas, vals = grid_scan_rows(
         X,
         inst.B.data if inst.B is not None else None,
         inst.g.data.reshape(-1) if inst.g is not None else None,
@@ -182,34 +201,29 @@ def _one_shot(inst, grid, eps=None):
 
 
 MP = t.MAX_PLUS
+# Grids of 7e4 to 1.6e5 points over n = 1 to 3, and a relative tolerance.
 BLOCKED_CASES = [
-    # n = 1: 2^16 points per block, 100001 points
+    # n = 1, 100001 points
     (t.problem(MP, [60000], [40000]), t.GridSpec([-50000.0], [50000.0], 1.0)),
-    # n = 2: 32 slabs per block over 301, argmins in the last block
+    # n = 2, 301 x 501 points
     (t.problem(MP, [10, 10], [-40, -8], B=[[0, -4], [-8, -6]], g=[29, -8]),
      t.GridSpec([0.0, -10], [30.0, 40], 0.1)),
-    # n = 3: 4 slabs per block over 43
+    # n = 3, 43 x 41 x 41 points
     (t.problem(MP, [10, 4, 1], [-19, -6, -3], B=[[0, -4, -3], [-8, -6, -1], [-2, -2, -5]],
                g=[18, -5, -5]),
      t.GridSpec([-2.0, 0, 0], [19.0, 20, 20], 0.5)),
-    # relative tolerance, 41 slabs per block over 391
+    # relative tolerance, 391 x 391 points
     (t.problem(t.MIN_TIMES, [0.5, 2], [4, 3], h=[3.8, 0.1]), t.GridSpec([0.1, 0.1], [4.0, 4.0], 0.01)),
 ]
 
 
 @pytest.mark.parametrize("inst, grid", BLOCKED_CASES)
 def test_blocked_scan_matches_one_shot(inst, grid):
-    lead = grid.axis(0).size
-    slab = grid.point_count() // lead
-    blocks = _kernels.row_blocks(lead, slab * inst.n * inst.n)
-    sizes = {b.stop - b.start for b in blocks}
-    assert len(blocks) > 1 and len(sizes) == 2  # the last block is short
-    best, argmins, count = _one_shot(inst, grid)
+    best, argmins, count = _point_wise(inst, grid)
     res = t.brute_force_min(inst, grid)
-    assert res.min_value.value == best and res.feasible_count == count
-    assert np.array_equal(np.array(res.argmins), argmins)
-    # the argmins lie in the last block
-    assert (argmins[:, 0] >= grid.axis(0)[blocks[-1].start]).all()
+    assert np.float64(res.min_value.value).tobytes() == np.float64(best).tobytes()
+    assert res.feasible_count == count
+    assert len(argmins) and np.array(res.argmins).tobytes() == argmins.tobytes()
 
 
 def test_scan_memory_is_bounded():
@@ -225,4 +239,4 @@ def test_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert res.argmins
-    assert peak < 48e6  # one N x n x n broadcast of the whole grid takes 237 MB
+    assert peak < 28e6  # 23 MB measured; one N x n x n broadcast of the grid takes 237 MB
