@@ -7,6 +7,7 @@ instance or an oracle disagreement, 2 for input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import TroptError
-from .linalg import tvector
+from .linalg import tmatrix
 from .oracle import GridSpec, brute_force_min, default_grid
 from .probfile import dump_json, load_problem, report_dict, solve_parsed
 from .semifield import SEMIFIELDS
@@ -24,7 +25,13 @@ from .svg import render_svg
 __all__ = ["main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``tropt`` parser, built on the first call and shared after it.
+
+    ``parse_args`` reads the parser and never changes it, so one parser
+    serves every :func:`main` call of a process.
+    """
     parser = argparse.ArgumentParser(
         prog="tropt",
         description="Closed-form solvers for constrained optimization over idempotent semifields.",
@@ -128,9 +135,9 @@ def _cmd_verify(args) -> int:
     else:
         theta = result.theta
         agree = (not oracle.empty) and oracle.min_value.eq(theta, eps)
-        members = all(
-            contains(result, inst, tvector(inst.sf, x), eps) for x in oracle.argmins
-        ) if agree else False
+        members = agree and contains(
+            result, inst, tmatrix(inst.sf, np.transpose(oracle.argmins)), eps
+        )
         report["solver_theta"] = theta.value
         report["oracle_min"] = None if oracle.empty else oracle.min_value.value
         report["argmin_count"] = len(oracle.argmins)

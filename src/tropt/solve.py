@@ -120,12 +120,35 @@ def problem(sf, p, q, g=None, h=None, B=None) -> ProblemInstance:
 
 
 def objective(p: TropicalMatrix, q: TropicalMatrix, x: TropicalMatrix) -> TropicalScalar:
-    """Evaluate conj(x) p + conj(q) x at a regular x."""
-    if not x.is_regular():
+    """Evaluate conj(x) p + conj(q) x at a regular column x."""
+    p._same_sf(x)
+    q._same_sf(x)
+    if not (x.is_column and p.shape == q.shape == x.shape):
+        raise DimensionError(
+            f"p, q and x must be column vectors of one length, got {p.shape}, {q.shape}, {x.shape}"
+        )
+    return p.sf.scalar(_objectives(p, q, x.data)[0])
+
+
+def _objectives(p, q, xs) -> np.ndarray:
+    """conj(x) p + conj(q) x for each column x of the raw n x k array xs.
+
+    Each term runs as one product over all k columns; for k = 1 the
+    products have the shapes of the vector forms, so the value keeps their
+    bits.  Both terms and their sum are checked in the carrier: in the
+    times semifields a product of carrier values can overflow to +inf or
+    underflow to 0.0.
+    """
+    sf = p.sf
+    if (xs == sf.zero).any():
         raise DomainError("objective requires a regular x")
-    a = (x.conj() @ p).as_scalar()
-    b = (q.conj() @ x).as_scalar()
-    return a + b
+    a = _kernels.matmul(sf.inv(xs.T), p.data, sf)[:, 0]
+    sf.validate(a)
+    b = _kernels.matmul(q.conj().data, xs, sf)[0]
+    sf.validate(b)
+    total = sf.add(a, b)
+    sf.validate(total)
+    return total
 
 
 def _check_operands(sf, p, q, g, h, B) -> None:
@@ -287,38 +310,46 @@ def contains(
     x: TropicalMatrix,
     eps: float | None = None,
 ) -> bool:
-    """Whether x is an optimizer of inst described by sol.
+    """Whether every column of x is an optimizer of inst described by sol.
 
-    Two independent tests are run: direct (x feasible and attains theta)
-    and parametric (x lies in the image of the u-box).  They must agree;
-    disagreement indicates numeric drift and raises.
+    x is n x k, one point per column; a column vector is the case k = 1.
+    Two independent tests run, each once over all k columns: direct (x
+    feasible and attains theta) and parametric (x lies in the image of the
+    u-box).  Every comparison is elementwise, so each column gets the
+    verdict it gets alone.  The objective is evaluated only on the columns
+    that pass the constraints, and raises on a non-regular one.  The two
+    tests must agree on every column; a disagreement indicates numeric
+    drift and raises, naming the first column that disagrees.
     """
-    if x.rows != inst.n or not x.is_column:
-        raise DimensionError(f"x must be a column vector of length {inst.n}")
-    sf = inst.sf
+    if x.rows != inst.n:
+        raise DimensionError(f"x must have {inst.n} rows, one column per point")
+    inst.p._same_sf(x)
+    sf, xs = inst.sf, x.data
 
-    direct = True
-    if inst.B is not None and not (inst.B @ x).leq(x, eps):
-        direct = False
-    if direct and inst.g is not None and not inst.g.leq(x, eps):
-        direct = False
-    if direct and inst.h is not None and not x.leq(inst.h, eps):
-        direct = False
-    if direct and not objective(inst.p, inst.q, x).eq(sol.theta, eps):
-        direct = False
+    def leq(a, b):  # a <= b in every row, per column
+        return sf.leq(a, b, eps).all(axis=0)
+
+    direct = np.ones(x.cols, dtype=np.bool_)
+    if inst.B is not None:
+        direct &= leq(_kernels.matmul(inst.B.data, xs, sf), xs)
+    if inst.g is not None:
+        direct &= leq(inst.g.data, xs)
+    if inst.h is not None:
+        direct &= leq(xs, inst.h.data)
+    if direct.any():
+        values = _objectives(inst.p, inst.q, xs[:, direct])
+        direct[direct] = sf.eq(values, sol.theta.value, eps)
 
     # x is in {gen @ u : u_lo <= u <= u_hi} iff gen @ x == x (so x itself
     # is a valid parameter) and x fits the u-box.
-    parametric = (
-        (sol.generator @ x).eq(x, eps)
-        and sol.u_lo.leq(x, eps)
-        and x.leq(sol.u_hi, eps)
-    )
+    fixed = sf.eq(_kernels.matmul(sol.generator.data, xs, sf), xs, eps).all(axis=0)
+    parametric = fixed & leq(sol.u_lo.data, xs) & leq(xs, sol.u_hi.data)
 
-    if direct != parametric:
+    disagree = np.flatnonzero(direct != parametric)
+    if disagree.size:
+        j = disagree[0]
         raise TroptError(
-            f"membership tests disagree at x={x.tolist()}: "
-            f"direct={direct} parametric={parametric}"
+            f"membership tests disagree at column {j}, x={xs[:, [j]].tolist()}: "
+            f"direct={direct[j]} parametric={parametric[j]}"
         )
-    return direct
-
+    return bool(direct.all())

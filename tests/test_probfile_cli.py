@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 import tropt as t
-from tropt.cli import main
+from tropt.cli import _build_parser, main
 from tropt.errors import ProblemFileError
 from tropt.probfile import (
     canonical_json,
@@ -190,6 +193,33 @@ class TestCliVerify:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["summary"] == "agree: theta = 9"
 
+    def test_verify_reports_a_theta_disagreement(self, capsys):
+        # the box holds feasible points (x_1 >= 3) but none of the optimizers (x_1 = 2)
+        code = main(["verify", str(PROBLEMS / "general.json"), "--grid-lo=3,0", "--grid-hi=6,8"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert doc["status"] == "disagree" and doc["argmins_contained"] is False
+        assert doc["summary"] == "disagree: solver theta = 14.0, oracle = 15.0"
+
+    def test_verify_reports_an_infeasibility_disagreement(self, monkeypatch, capsys):
+        wrong = t.InfeasibilityReport(t.InfeasibleReason.BOUNDS_INCOMPATIBLE, t.MAX_PLUS.scalar(1))
+        monkeypatch.setattr("tropt.cli.solve_parsed", lambda parsed: wrong)
+        code = main(["verify", str(PROBLEMS / "general.json")])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["status"] == "disagree"
+        found = doc["oracle_feasible_points"]
+        assert found > 0
+        assert doc["summary"] == f"disagree: solver infeasible but oracle found {found} feasible points"
+
+    @pytest.mark.parametrize("bounds, message", [
+        (["--grid-lo=a,b", "--grid-hi=6,8"], "--grid-lo: expected comma-separated numbers, got 'a,b'"),
+        (["--grid-lo=1,2,3", "--grid-hi=6,8"], "--grid-lo: expected 2 values, got 3"),
+        (["--grid-lo=1,2", "--grid-hi=6"], "--grid-hi: expected 2 values, got 1"),
+    ])
+    def test_bad_grid_bound_exit_2(self, bounds, message, capsys):
+        assert main(["verify", str(PROBLEMS / "general.json"), *bounds]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_half_grid_exit_2(self, capsys):
         assert main(["verify", str(PROBLEMS / "box.json"), "--grid-lo", "0,0"]) == 2
         assert "together" in capsys.readouterr().err
@@ -252,6 +282,72 @@ class TestCliVerify:
         assert "must be regular" in solve_err
         assert main(["verify", str(f)]) == 2
         assert capsys.readouterr().err == solve_err
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call leaves state for the next."""
+
+    def run(self, capsys, *argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_semifield_override_does_not_carry_over(self, tmp_path, capsys):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"problem": "unconstrained", "p": [3, 14], "q": [12, 4]}))
+        plain = self.run(capsys, "solve", str(f))
+        overridden = self.run(capsys, "solve", str(f), "--semifield", "min-plus")
+        assert json.loads(overridden[1])["theta"] == -4.5
+        assert json.loads(plain[1])["theta"] != -4.5
+        assert self.run(capsys, "solve", str(f)) == plain
+
+    def test_epsilon_does_not_carry_over(self, tmp_path, capsys, monkeypatch):
+        # test_epsilon_env's coarse grid agrees only within the widened tolerance
+        monkeypatch.delenv("TROPT_EPSILON", raising=False)
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"problem": "unconstrained", "p": [1], "q": [-2]}))
+        grid = ["--grid-lo=-4", "--grid-hi=4", "--grid-step", "1"]
+        assert self.run(capsys, "verify", str(f), *grid, "--epsilon", "0.75")[0] == 0
+        code, out = self.run(capsys, "verify", str(f), *grid)
+        assert code == 1 and json.loads(out)["status"] == "disagree"
+        monkeypatch.setenv("TROPT_EPSILON", "0.75")
+        assert self.run(capsys, "verify", str(f), *grid)[0] == 0
+        monkeypatch.delenv("TROPT_EPSILON")
+        assert self.run(capsys, "verify", str(f), *grid)[0] == 1
+
+    def test_out_does_not_carry_over(self, tmp_path, capsys):
+        dest = tmp_path / "report.json"
+        assert self.run(capsys, "solve", str(PROBLEMS / "box.json"), "--out", str(dest)) == (0, "")
+        written = dest.read_text()
+        assert self.run(capsys, "solve", str(PROBLEMS / "box.json")) == (0, written)
+        assert dest.read_text() == written
+
+    def test_usage_error_then_golden_output(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(PROBLEMS / "general.json"), "--epsilon", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        expected = (GOLDEN / "general.solve.json").read_text(encoding="utf-8")
+        assert self.run(capsys, "solve", str(PROBLEMS / "general.json")) == (0, expected)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_fresh_process_golden_output(command):
+    """``python -m tropt.cli`` in a new interpreter: the parser's first build."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("TROPT_EPSILON", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropt.cli", command, str(PROBLEMS / "general.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    expected = (GOLDEN / f"general.{command}.json").read_text(encoding="utf-8")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        GOLDEN_CODES[f"general {command}"], expected, ""
+    )
 
 
 def _svg_elements(text, cls):
