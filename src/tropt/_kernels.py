@@ -1,4 +1,4 @@
-"""Numeric inner kernels: tropical products, closure, powers of I + A and the oracle grid scan.
+"""Numeric inner kernels: tropical products, closure, walks, powers of I + A and the grid scan.
 
 The kernels work on raw float64 encodings and take the semifield ``sf``
 whose operations they apply: every product is ``sf.mul`` (or its
@@ -10,11 +10,21 @@ direction of its order and, in the grid scan, for the form of the
 inverse.
 
 Products broadcast a rank-3 temporary and reduce it.  ``matmul`` runs
-over row blocks of its left factor (:func:`row_blocks`) whose temporary
-holds at most ``_BLOCK_ELEMENTS`` elements, a fixed budget; operands that
-fit in one block run the unblocked expression.  Blocking changes which
-rows share a temporary, not the float operations on any row, so the
-results are bit-identical.
+over row blocks of its left factor whose temporary holds at most
+``_BLOCK_ELEMENTS`` elements, a fixed budget; operands that fit in one
+block run the unblocked expression.  Blocking changes which rows share a
+temporary, not the float operations on any row, so the results are
+bit-identical.
+
+The cycle test and the Kleene star come from one elimination
+(:func:`closure`).  It cuts each *heavy* pivot, one whose diagonal entry
+exceeds one, out of the graph and goes on, so that every cycle above one
+passes through a heavy pivot.  The power trace of a divergent matrix is
+then the heaviest closed walk from the heavy pivots (:func:`walk_trace`,
+|H| n^3), or, when that costs more, the trace of (I + A)^n from
+:func:`power_factors` (about log2 n products n x n).  The elimination
+weighs the two routes by their element counts and stops as soon as the
+heavy count settles it for squaring.
 
 The oracle's :func:`grid_scan` builds no point and no rank-3 temporary:
 it works from the grid's axes, with tables over one or two axes at a
@@ -28,13 +38,16 @@ import math
 
 import numpy as np
 
-__all__ = ["matmul", "product_trace", "closure", "power_factors", "grid_scan"]
+__all__ = ["matmul", "product_trace", "closure", "walk_trace", "power_factors", "grid_scan"]
 
 
 # Elements of the broadcast temporary per row block: 512 KB of float64.
 _BLOCK_ELEMENTS = 1 << 16
 # Work arrays from this many elements up start on a 64-byte line.
 _ALIGN_ELEMENTS = 1 << 10
+# What one kernel call costs beyond its elements, counted in element
+# operations: about 3 us of numpy dispatch at 1.5 ns per element.
+_CALL_ELEMENTS = 2048
 
 
 def _empty(shape):
@@ -54,17 +67,6 @@ def _empty(shape):
     return buf[start:start + size].reshape(shape)
 
 
-def row_blocks(rows, row_elements):
-    """Slices that cover ``range(rows)`` in order, each a block of whole rows.
-
-    A row costs ``row_elements`` temporary elements; a block holds as many
-    rows as fit in ``_BLOCK_ELEMENTS``, and at least one.  :func:`matmul` is
-    the only caller.
-    """
-    step = max(1, _BLOCK_ELEMENTS // max(1, row_elements))
-    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
-
-
 def matmul(a, b, sf):
     """(m,n) x (n,l) tropical product via broadcasting, over row blocks of a.
 
@@ -75,11 +77,13 @@ def matmul(a, b, sf):
     if a.size * b.shape[1] <= _BLOCK_ELEMENTS:
         return sf.add.reduce(sf.mul(a[:, :, None], b[None, :, :]), axis=1)
     mul, reduce = sf.mul, sf.add.reduce
-    out = _empty((a.shape[0], b.shape[1]))
-    blocks = row_blocks(a.shape[0], b.size)
-    temp = _empty((blocks[0].stop, *b.shape))
-    for rows in blocks:
-        part = temp[:rows.stop - rows.start]
+    m = a.shape[0]
+    step = max(1, _BLOCK_ELEMENTS // b.size)  # rows per block, at least one
+    out = _empty((m, b.shape[1]))
+    temp = _empty((min(step, m), *b.shape))
+    for i in range(0, m, step):
+        rows = slice(i, min(i + step, m))
+        part = temp[:rows.stop - i]
         reduce(mul(a[rows, :, None], b[None, :, :], out=part), axis=1, out=out[rows])
     return out
 
@@ -92,30 +96,95 @@ def product_trace(a, b, sf):
 def closure(a, sf):
     """Plus-closure A + A^2 + A^3 + ... by Carre/Floyd-Warshall elimination.
 
-    One O(n^3) pass over the pivots k, each relaxing every entry through k.
-    Returns None as soon as a diagonal entry exceeds the semifield one
-    (exact comparison, as in :func:`grid_scan`): a cycle heavier than one
-    makes the closure diverge, and further pivots would square its weight
-    until the floats overflow or underflow out of the carrier.  Before
-    pivot k only d_kk is tested: it then holds the heaviest closed walk
-    through k over the lower pivots, so a heavy cycle shows there at its
-    highest node.
+    Returns ``(plus, heavy)``.  One O(n^3) pass over the pivots k, each
+    relaxing every entry through k.  Before pivot k, d_kk holds the
+    heaviest closed walk through k over the lower pivots.  When it
+    exceeds the semifield one (exact comparison, as in :func:`grid_scan`)
+    k is *heavy*: it is cut out of the graph, row k and column k set to
+    the semifield zero, and the elimination goes on.  No pivot before k
+    has routed a walk through k yet, so the cut leaves the other entries
+    as they were, and no later pivot squares a weight above one until it
+    leaves the carrier.  Every cycle above one then passes through a
+    heavy pivot: its highest node would otherwise have been flagged.
+
+    When the elimination converges, ``plus`` is the closure and ``heavy``
+    is empty.  Otherwise ``plus`` is None and ``heavy`` lists the heavy
+    pivots, from which :func:`walk_trace` reads the power trace; or
+    ``heavy`` is None, when squaring I + A (:func:`power_factors`) is the
+    cheaper route.  The elimination stops as soon as the heavy count
+    makes it so.
     """
+    n = a.shape[0]
     d = _empty(a.shape)
     d[...] = a
-    better, outer, one, minimize = sf.add, sf.mul.outer, sf.one, sf.minimize
+    better, outer, one, zero, minimize = sf.add, sf.mul.outer, sf.one, sf.zero, sf.minimize
     through = _empty(d.shape)
-    for k in range(d.shape[0]):
+    heavy = []
+    for k in range(n):
         if (d[k, k] < one) if minimize else (d[k, k] > one):
-            return None
+            heavy.append(k)
+            if 1 < n < _MIN_WALK_N or not _walk_is_cheaper(len(heavy), n, n - k - 1):
+                return None, None
+            d[k, :] = zero
+            d[:, k] = zero
+            continue
         outer(d[:, k], d[k, :], out=through)
         better(d, through, out=d)
+    if heavy:
+        return None, heavy
     # Rounding can leave a heavy walk on a diagonal entry whose pivot has
-    # passed; one last look keeps the verdict of a test after every pivot.
+    # passed.  That look names no cycle, so the power trace takes squaring.
     diag = np.diagonal(d)
     if (diag < one).any() if minimize else (diag > one).any():
-        return None
-    return d
+        return None, None
+    return d, []
+
+
+def _walk_is_cheaper(heavy, n, rest):
+    """Whether ``rest`` more pivots and :func:`walk_trace` from ``heavy`` nodes beat squaring.
+
+    Costs count element operations.  The walk is n - 1 products
+    (heavy, n) x (n, n), after the ``rest`` pivots of n^2 each that the
+    elimination has still to run; squaring is the
+    ``log2(hi) + popcount(lo) - 1`` products n x n of :func:`power_factors`
+    for e = n.  Every kernel call costs ``_CALL_ELEMENTS`` more.  At n = 1
+    the walk takes no step.
+    """
+    if n < 2:
+        return True
+    hi = 1 << ((n - 1).bit_length() - 1)
+    squarings = hi.bit_length() - 1 + (n - hi).bit_count() - 1
+    walk = (n - 1) * (_CALL_ELEMENTS + heavy * n * n) + rest * (_CALL_ELEMENTS + n * n)
+    return walk < squarings * (_CALL_ELEMENTS + n ** 3)
+
+
+# Below this n, squaring beats walks from even one heavy pivot.
+_MIN_WALK_N = next(n for n in range(2, 1 << 10) if _walk_is_cheaper(1, n, 0))
+
+
+def walk_trace(a, heavy, sf):
+    """Heaviest closed walk of length 1..n of A that starts at a node of ``heavy``.
+
+    The rows ``heavy`` of A, the walks of length one, take n - 1 steps
+    ``V <- V (I + A)``, so row h ends holding the heaviest walks of length
+    1..n from h.  Every walk is summed left to right, edge by edge, as
+    the powers A^k = A^(k-1) A sum it.  That is |heavy| n^3 work, in place
+    of the log2 n products n x n of :func:`power_factors`.
+    """
+    n = a.shape[0]
+    walks = a[heavy]
+    if n > 1:
+        step = _plus_identity(a, sf)
+        for _ in range(n - 1):
+            walks = matmul(walks, step, sf)
+    return float(sf.add.reduce(walks[range(len(heavy)), heavy]))
+
+
+def _plus_identity(a, sf):
+    """A new array holding I + A."""
+    out = np.array(a, dtype=np.float64, copy=True)
+    np.fill_diagonal(out, sf.add(sf.one, np.diagonal(out)))
+    return out
 
 
 def power_factors(a, e, sf):
@@ -129,8 +198,7 @@ def power_factors(a, e, sf):
     hi power); the caller multiplies them, or reads the trace of their
     product with :func:`product_trace`.
     """
-    power = np.array(a, dtype=np.float64, copy=True)
-    np.fill_diagonal(power, sf.add(sf.one, np.diagonal(power)))
+    power = _plus_identity(a, sf)
     hi = 1 << ((e - 1).bit_length() - 1)
     lo = e - hi
     part, k = None, 1  # power is (I + A)^k; part collects the bits of lo below 2k

@@ -109,9 +109,12 @@ class TropicalMatrix:
         when the matrix carries a cycle whose weight exceeds the semifield one.
         One elimination runs.  When it converges the value is the trace of
         A A*, by A (A^0 + ... + A^(n-1)) = A + ... + A^n, read in O(n^2) as
-        the sum over i, k of a_ik a*_ki.  When it diverges the value is read
-        from (I + A)^n, which is one plus the power trace: the power trace
-        itself whenever that exceeds one.
+        the sum over i, k of a_ik a*_ki.  When it diverges, every cycle above
+        one passes through one of its heavy pivots, so the value is the
+        heaviest closed walk from those, summed left to right as the powers
+        sum it.  When squaring costs less, as for small n or many heavy
+        pivots, it is read from (I + A)^n instead, which is one plus the
+        power trace: the power trace itself whenever that exceeds one.
         """
         self._require_square("power_trace")
         return TropicalScalar(self._star_and_power_trace()[1], self.sf)
@@ -129,25 +132,28 @@ class TropicalMatrix:
         by no more than the default tolerance, that is by rounding.
         """
         self._require_square("star")
-        plus = _kernels.closure(self.data, self.sf)
+        plus, _ = _kernels.closure(self.data, self.sf)
         return TropicalMatrix(self.sf, self._star_from(plus), _trusted=True)
 
     def _star_and_power_trace(self):
         """``(star data, power trace)``, with None for the star when a cycle exceeds one.
 
         The one place where the cycle test compares the power trace with
-        one.  One elimination decides: when it converges the star is I plus
-        its closure; when it diverges the power trace is read from the
-        trace of (I + A)^n, and a value within the default tolerance of one
-        passes the test up to rounding, with the star from squaring.
+        one.  One elimination decides.  When it converges the star is I
+        plus its closure.  When it diverges the elimination has also picked
+        the cheaper route to the power trace by their costs, from the heavy
+        count and n: walks from the heavy pivots (|H| n^3) or the trace of
+        (I + A)^n (about log2 n products n x n).  A value within the default
+        tolerance of one passes the test up to rounding, with the star from
+        squaring.
         """
         sf = self.sf
-        plus = _kernels.closure(self.data, sf)
+        plus, heavy = _kernels.closure(self.data, sf)
         if plus is not None:
             star = self._star_from(plus)
             trace = _kernels.product_trace(self.data, star, sf)
-        elif self.rows == 1:
-            star, trace = None, float(self.data[0, 0])
+        elif heavy is not None:
+            star, trace = None, _kernels.walk_trace(self.data, heavy, sf)
         else:
             factors = _kernels.power_factors(self.data, self.rows, sf)
             star, trace = None, _kernels.product_trace(*factors, sf)

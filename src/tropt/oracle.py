@@ -8,6 +8,10 @@ agreement between the two is meaningful evidence.
 The default grid step is 1/2: the closed-form optimum involves a square
 root that halves an integer, so for integer instances the optimizers lie
 on the half-integer lattice and the oracle is exact, not approximate.
+Data that are all multiples of 2^-k put the optimizers on the lattice of
+step 2^-(k+1) in the same way.  For such data the default grid carries
+that finer step as well, and the oracle scans it wherever a point could
+beat the best point of the step-1/2 grid (see :func:`brute_force_min`).
 """
 
 from __future__ import annotations
@@ -25,18 +29,27 @@ from .semifield import TropicalScalar
 __all__ = ["GridSpec", "OracleResult", "default_grid", "brute_force_min"]
 
 MAX_POINTS = 10**6
+# Data need at most this many binary digits after the point for the
+# default grid to carry their finer lattice; real-valued data need ~50.
+MAX_FRACTION_BITS = 8
 
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
     """A rectangular grid: per-dimension bounds plus a common step.
 
-    Two grids are equal when their bounds and steps are.
+    ``fine_step``, when set, is a positive step below ``step``: the grid
+    then also stands for the finer lattice from the same lower bounds,
+    which :func:`brute_force_min` scans where it could improve on the
+    grid's best point.  Only the points of ``step`` count towards the
+    guard and :meth:`point_count`.  Two grids are equal when their bounds
+    and steps are.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     step: float = 0.5
+    fine_step: float | None = None
 
     _counts: tuple = field(init=False, repr=False)
 
@@ -53,6 +66,8 @@ class GridSpec:
             raise DomainError("grid lower bound exceeds upper bound")
         if not 0 < self.step < np.inf:
             raise DomainError(f"grid step must be positive and finite, got {self.step}")
+        if self.fine_step is not None and not 0 < self.fine_step < self.step:
+            raise DomainError(f"fine step must be positive and below the step, got {self.fine_step}")
         # The counts stay floats until they pass the guard: a span that
         # overflows, or a tiny step, gives an infinite count.
         with np.errstate(over="ignore"):
@@ -68,11 +83,13 @@ class GridSpec:
     def __eq__(self, other):
         if not isinstance(other, GridSpec):
             return NotImplemented
-        return (self.step == other.step and np.array_equal(self.lower, other.lower)
+        return (self.step == other.step and self.fine_step == other.fine_step
+                and np.array_equal(self.lower, other.lower)
                 and np.array_equal(self.upper, other.upper))
 
     def __hash__(self):
-        return hash((tuple(self.lower.tolist()), tuple(self.upper.tolist()), self.step))
+        return hash((tuple(self.lower.tolist()), tuple(self.upper.tolist()), self.step,
+                     self.fine_step))
 
     def axis(self, i: int) -> np.ndarray:
         return self.lower[i] + self.step * np.arange(self._counts[i])
@@ -109,6 +126,11 @@ def default_grid(inst: ProblemInstance, step: float = 0.5) -> GridSpec:
     coordinate lies within 3D of the origin.  Only the additive
     semifields have a natural real grid; pass an explicit GridSpec for
     the multiplicative ones.
+
+    When every finite input is a multiple of 2^-k, for the least k up to
+    ``MAX_FRACTION_BITS``, the optimizers lie on the lattice of step
+    2^-(k+1), and the grid carries that as ``fine_step`` if it is finer
+    than ``step``.  Integer data (k = 0) at the default step carry none.
     """
     if inst.sf.times:
         raise DomainError("no default grid for multiplicative semifields; pass a GridSpec")
@@ -139,7 +161,19 @@ def default_grid(inst: ProblemInstance, step: float = 0.5) -> GridSpec:
             lower[mask] = np.maximum(lower[mask], hv[mask])
         else:
             upper[mask] = np.minimum(upper[mask], hv[mask])
-    return GridSpec(lower, np.maximum(lower, upper), step)
+    return GridSpec(lower, np.maximum(lower, upper), step, _fine_step(finite, step))
+
+
+def _fine_step(values, step):
+    """2^-(k+1) for the least k at which every value is a multiple of
+    2^-k, when that is finer than ``step``; None past ``MAX_FRACTION_BITS``.
+
+    A float's ratio has a power of two for its denominator: 2^k for the
+    least such k.
+    """
+    k = max((x.as_integer_ratio()[1] for x in values.tolist()), default=1).bit_length() - 1
+    fine = 2.0 ** -(k + 1)
+    return fine if k <= MAX_FRACTION_BITS and fine < step else None
 
 
 def brute_force_min(
@@ -157,6 +191,16 @@ def brute_force_min(
     point can hold.  Memory is O(N) for N points: a feasibility flag and an
     objective value per point, then the values and tolerance test of the
     feasible points only.
+
+    A grid with a ``fine_step`` is refined after that scan.  A point beats
+    the best value v only if each objective term does, which bounds every
+    coordinate to an open interval: ``p_i - x_i < v`` and ``x_i - q_i < v``
+    in max-plus, reversed in min-plus.  The fine lattice is scanned inside
+    those intervals (and the grid's bounds); when its best value beats v
+    beyond the tolerance, its minimum and argmins are the result.
+    Otherwise the grid's own are.  The refinement is held to
+    ``MAX_POINTS`` as well.  With no feasible grid point there is nothing
+    to refine.
     """
     sf = inst.sf
     if inst.n > 3:
@@ -172,15 +216,65 @@ def brute_force_min(
     qc = inst.q.conj().data.reshape(-1)
     p = inst.p.data.reshape(-1)
 
-    axes = [grid.axis(i) for i in range(inst.n)]
-    sf.validate(np.concatenate(axes))
-    feas, vals = _kernels.grid_scan(axes, B, g, h, p, qc, sf)
-    fvals = vals[feas]
-    del vals
-    if fvals.size == 0:
+    def scan(axes):  # (best, argmins, feasible count), best None when none is feasible
+        sf.validate(np.concatenate(axes))
+        feas, vals = _kernels.grid_scan(axes, B, g, h, p, qc, sf)
+        fvals = vals[feas]
+        del vals
+        if fvals.size == 0:
+            return None, [], 0
+        best = float(fvals.max() if sf.minimize else fvals.min())
+        hit = np.flatnonzero(feas)[np.asarray(sf.eq(fvals, best, eps))]
+        index = np.unravel_index(hit, tuple(len(v) for v in axes))
+        argmins = np.stack([axes[i][k] for i, k in enumerate(index)], axis=1)
+        return best, list(argmins), int(fvals.size)
+
+    best, argmins, count = scan([grid.axis(i) for i in range(inst.n)])
+    if best is not None and grid.fine_step is not None and np.isfinite(best):
+        axes = _improving_axes(grid, p, qc, best, sf)
+        if axes is not None:
+            fine_best, fine_argmins, _ = scan(axes)
+            if fine_best is not None and not sf.eq(fine_best, best, eps):
+                best, argmins = fine_best, fine_argmins
+    if best is None:
         return OracleResult(None, [], 0)
-    best = float(fvals.max() if sf.minimize else fvals.min())
-    hit = np.flatnonzero(feas)[np.asarray(sf.eq(fvals, best, eps))]
-    index = np.unravel_index(hit, grid._counts)
-    argmins = np.stack([axes[i][k] for i, k in enumerate(index)], axis=1)
-    return OracleResult(TropicalScalar(best, sf), list(argmins), int(fvals.size))
+    return OracleResult(TropicalScalar(best, sf), argmins, count)
+
+
+def _improving_axes(grid, p, qc, v, sf):
+    """Per axis, the points of the fine lattice at which both objective terms beat v.
+
+    The terms of coordinate i are ``p_i - x_i`` and ``x_i + qc_i``.  Each
+    is monotone in x_i, so both beat v (are less in max-plus, greater in
+    min-plus) on an interval of the axis, which the open interval between
+    ``p_i - v`` and ``v - qc_i`` brackets to within a point.  The axes keep
+    the grid's bounds and lower origin.  None when an axis is empty, as no
+    point can then beat v.
+    """
+    fine = grid.fine_step
+    beats = (lambda a: a > v) if sf.minimize else (lambda a: a < v)
+    spans = []
+    for i in range(len(grid.lower)):
+        lower, pi, qi = float(grid.lower[i]), float(p[i]), float(qc[i])
+        count = math.floor((float(grid.upper[i]) - lower) / fine + 1e-9) + 1
+        lo, hi = (v - qi, pi - v) if sf.minimize else (pi - v, v - qi)  # lo may be -inf, hi +inf
+        if lo >= hi:
+            return None
+        first = 0 if lo == -math.inf else max(0, math.floor((lo - lower) / fine))
+        last = count - 1 if hi == math.inf else min(count - 1, math.ceil((hi - lower) / fine))
+        if first > last:
+            return None
+        spans.append((lower, pi, qi, first, last))
+    total = math.prod(last - first + 1 for *_, first, last in spans)
+    if total > MAX_POINTS:
+        raise GridGuardError(
+            f"the refinement at step {fine} would hold {total} points (limit {MAX_POINTS})"
+        )
+    axes = []
+    for lower, pi, qi, first, last in spans:
+        xs = (lower + fine * j for j in range(first, last + 1))
+        axis = np.array([x for x in xs if beats(pi - x) and beats(x + qi)])
+        if axis.size == 0:
+            return None
+        axes.append(axis)
+    return axes

@@ -1,6 +1,6 @@
 """The numpy kernels must match plain-Python loop references bit for bit.
 
-``matmul_loop``, ``closure_loop`` and ``grid_scan_loop`` below compute the
+``matmul_loop``, ``closure_loop``, ``walk_loop`` and ``grid_scan_loop`` below compute the
 same results one element at a time, with the semifield's order written out
 as comparisons and its product as ``+`` or ``*``: they read only
 ``sf.minimize`` and ``sf.times``, not the ufuncs the kernels take from
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tropt as t
-from tropt._kernels import _BLOCK_ELEMENTS, closure, grid_scan, matmul
+from tropt._kernels import _BLOCK_ELEMENTS, closure, grid_scan, matmul, walk_trace
 
 SEMIFIELDS = [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES]
 # The ids name each semifield by its (minimize, times) flags.
@@ -59,6 +59,29 @@ def closure_loop(a, sf):
             if (d[i, i] < one) if minimize else (d[i, i] > one):
                 return None
     return d
+
+
+def walk_loop(a, starts, sf):
+    """Heaviest closed walk of length 1..n from the starts, one walk at a time.
+
+    Each walk's weight is summed edge by edge from its start, and the
+    walks of length L + 1 extend those of length L.
+    """
+    minimize, times = sf.minimize, sf.times
+    n = a.shape[0]
+    best = np.inf if minimize else -np.inf
+    for h in starts:
+        row = a[h].copy()
+        for _ in range(n):
+            best = min(best, row[h]) if minimize else max(best, row[h])
+            nxt = np.full(n, np.inf if minimize else -np.inf)
+            for l in range(n):
+                for j in range(n):
+                    v = row[l] * a[l, j] if times else row[l] + a[l, j]
+                    if (v < nxt[j]) if minimize else (v > nxt[j]):
+                        nxt[j] = v
+            row = nxt
+    return best
 
 
 def grid_scan_loop(X, B, g, h, p, qc, sf):
@@ -160,11 +183,36 @@ def test_closure_variants_agree(sf):
         e[rng.random((n, n)) < 0.2] = -np.inf
         e = -e if sf.minimize else e
         a = np.exp(e / 4) if sf.times else e
-        got, ref = closure(a, sf), closure_loop(a, sf)
+        (got, heavy), ref = closure(a, sf), closure_loop(a, sf)
         verdicts.append(ref is None)
-        assert (got is None) == (ref is None)
+        assert (got is None) == (heavy != []) == (ref is None)
         assert ref is None or np.array_equal(got, ref)
     assert 20 < sum(verdicts) < 180
+
+
+@over_semifields
+def test_heavy_pivots_cover_every_cycle_above_one(sf):
+    # n = 48 with two disjoint 2-cycles above one, where walks from two
+    # heavy pivots beat squaring.  Cut out of the graph, the heavy pivots
+    # leave no cycle above one, and the walks from them give the heaviest
+    # closed walk from those starts.
+    rng = np.random.default_rng(48)
+    n = 48
+    for _ in range(3):
+        e = -rng.uniform(1, 8, size=(n, n))
+        nodes = rng.permutation(n)[:4]
+        for i, j in (nodes[:2], nodes[2:]):
+            w = rng.uniform(0.2, 1.5)
+            e[i, j], e[j, i] = w, -0.6 * w
+        e = -e if sf.minimize else e
+        a = np.exp(e / 4) if sf.times else e
+        plus, heavy = closure(a, sf)
+        assert plus is None and len(heavy) == 2
+        cut = a.copy()
+        cut[heavy, :] = sf.zero
+        cut[:, heavy] = sf.zero
+        assert closure_loop(cut, sf) is not None
+        assert walk_trace(a, heavy, sf) == walk_loop(a, heavy, sf)
 
 
 @over_semifields
@@ -254,7 +302,7 @@ def test_large_work_arrays_start_on_a_cache_line():
     kept = []
     for _ in range(8):
         kept.append(np.empty(int(rng.integers(1, 64))))
-        assert closure(a, t.MAX_PLUS).ctypes.data % 64 == 0
+        assert closure(a, t.MAX_PLUS)[0].ctypes.data % 64 == 0
         assert matmul(a, a, t.MAX_PLUS).ctypes.data % 64 == 0
-    small = closure(a[:8, :8], t.MAX_PLUS)
+    small = closure(a[:8, :8], t.MAX_PLUS)[0]
     assert small.base is None and np.array_equal(small, closure_loop(a[:8, :8], t.MAX_PLUS))

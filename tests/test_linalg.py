@@ -245,7 +245,8 @@ def test_power_trace_matches_loop_reference(sf, planted):
         assert _kernels.product_trace(a.data, star_squaring_loop(a).data, sf) == ref
         exceeds = not sf.leq(ref, sf.one, 0.0)
         assert exceeds == planted
-        assert (_kernels.closure(a.data, sf) is None) == exceeds
+        plus, heavy = _kernels.closure(a.data, sf)
+        assert (plus is None) == (heavy != []) == exceeds
         ones = t.tvector(sf, [sf.one] * a.rows)
         result = t.solve_general(a, ones, ones)
         if planted:
@@ -263,26 +264,52 @@ def test_star_matches_squaring_reference(sf, planted):
         assert a.star() == star_squaring_loop(a)
 
 
-@pytest.mark.parametrize(
+HEAVY_ENTRIES = pytest.mark.parametrize(
     "sf, entry", [(t.MAX_TIMES, 4.0), (t.MIN_TIMES, 0.25), (t.MAX_PLUS, 1e300)],
     ids=["max-times", "min-times", "max-plus"],
 )
+
+
+def _all_heavy(sf, entry, n=64):
+    """Dense n x n matrix every cycle of which exceeds one."""
+    vals = np.full((n, n), entry)
+    if sf.times:
+        vals[::2, 1::2] = sf.zero
+    return t.TropicalMatrix(sf, vals)
+
+
+@HEAVY_ENTRIES
 def test_power_trace_heavy_cycles_stay_in_range(sf, entry):
     # Every cycle of this dense matrix exceeds one.  Eliminating all pivots
     # would square those weights until they overflow (or, in min-times,
     # underflow to 0.0, outside the carrier); the closed-walk sum of length
     # at most n stays finite.
-    n = 64
-    vals = np.full((n, n), entry)
-    if sf.times:
-        vals[::2, 1::2] = sf.zero
-    a = t.TropicalMatrix(sf, vals)
+    a = _all_heavy(sf, entry)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = a.power_trace().value
     assert np.isfinite(value)
     assert not sf.leq(value, sf.one, 0.0)
     assert value == pytest.approx(power_trace_loop(a), rel=1e-9)
+
+
+@HEAVY_ENTRIES
+def test_all_heavy_matrix_takes_the_squaring_route(sf, entry, monkeypatch):
+    # Every pivot is heavy, so the elimination stops once walks from the
+    # heavy pivots would cost more than squaring I + B: the five products
+    # n x n of the exponent 64 and no walk step.
+    a = _all_heavy(sf, entry)
+    assert _kernels.closure(a.data, sf) == (None, None)
+    shapes = []
+    matmul = _kernels.matmul
+
+    def counting(x, y, sf):
+        shapes.append((x.shape, y.shape))
+        return matmul(x, y, sf)
+
+    monkeypatch.setattr(_kernels, "matmul", counting)
+    a.power_trace()
+    assert shapes == [((64, 64), (64, 64))] * 5
 
 
 @pytest.mark.parametrize("sf", [t.MAX_PLUS, t.MIN_PLUS], ids=lambda sf: sf.tag)
@@ -292,7 +319,7 @@ def test_cycle_above_one_by_rounding_still_solves(sf):
     # tolerance, so the solve takes the star from squaring, as star() does.
     s = -1.0 if sf.minimize else 1.0
     a = t.tmatrix(sf, s * np.array([[-5, 1, -np.inf], [-np.inf, -5, 1], [-2 + 1e-12, -np.inf, -5]]))
-    assert _kernels.closure(a.data, sf) is None
+    assert _kernels.closure(a.data, sf)[0] is None
     value = a.power_trace().value
     assert value != sf.one and sf.leq(value, sf.one)
     assert value == _kernels.product_trace(a.data, star_squaring_loop(a).data, sf)

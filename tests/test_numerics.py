@@ -111,7 +111,7 @@ def counted(monkeypatch):
 
     def counting_closure(a, sf):
         out = closure(a, sf)
-        calls["closure"].append((a.shape, out is None))
+        calls["closure"].append((a.shape, out[0] is None))
         return out
 
     def counting_matmul(a, b, sf):
@@ -137,16 +137,21 @@ def test_feasible_solve_eliminates_once_without_square_products(n, counted):
     assert counted["matmul"] == [((2, n), (n, n)), ((2, n), (n, 2)), ((1, n), (n, n)), ((n, n), (n, 2))]
 
 
-@pytest.mark.parametrize("n, squarings", [(8, 2), (64, 5)])
-def test_infeasible_solve_squares_to_half_the_exponent(n, squarings, counted, monkeypatch):
-    # One planted cycle above one among edges that all weigh less than one.
-    # The detail Tr((I + B)^n) needs I + B squared only up to the exponent
-    # n / 2, and its trace is read from the last square without a product.
+def _planted_cycle(n):
+    """Integer max-plus B with edges in [-8, -1] and one planted 3-cycle of weight 1."""
     rng = np.random.default_rng(n)
     B = rng.integers(-8, 0, size=(n, n)).astype(float)
     cycle = rng.permutation(n)[:3]
     B[cycle, np.roll(cycle, -1)] = [1, 0, 0]
-    B = t.tmatrix(t.MAX_PLUS, B)
+    return t.tmatrix(t.MAX_PLUS, B), cycle
+
+
+@pytest.mark.parametrize("n, squarings", [(8, 2)])
+def test_infeasible_solve_squares_to_half_the_exponent(n, squarings, counted, monkeypatch):
+    # Below the crossover the detail Tr((I + B)^n) needs I + B squared only
+    # up to the exponent n / 2, and its trace is read from the last square
+    # without a product.
+    B, _ = _planted_cycle(n)
     ref = power_trace_loop(B)
     counted["matmul"].clear()
     monkeypatch.setattr(t.TropicalMatrix, "star", lambda self: pytest.fail("star() called"))
@@ -156,6 +161,86 @@ def test_infeasible_solve_squares_to_half_the_exponent(n, squarings, counted, mo
     assert report.detail.value == ref
     assert counted["closure"] == [((n, n), True)]
     assert counted["matmul"] == [((n, n), (n, n))] * squarings
+
+
+def test_infeasible_solve_walks_from_the_heavy_pivot(counted, monkeypatch):
+    # At n = 64 the one heavy pivot, the cycle's highest node, takes n - 1
+    # row steps V <- V (I + B) in place of five squarings of I + B.
+    n = 64
+    B, cycle = _planted_cycle(n)
+    ref = power_trace_loop(B)
+    assert _kernels.closure(B.data, B.sf)[1] == [max(cycle)]
+    counted["closure"].clear()
+    counted["matmul"].clear()
+    monkeypatch.setattr(t.TropicalMatrix, "star", lambda self: pytest.fail("star() called"))
+    zero = t.tvector(t.MAX_PLUS, [0] * n)
+    report = t.solve_general(B, zero, zero)
+    assert report.reason is t.InfeasibleReason.TR_EXCEEDS_ONE
+    assert report.detail.value == ref
+    assert counted["closure"] == [((n, n), True)]
+    assert ((n, n), (n, n)) not in counted["matmul"]
+    assert counted["matmul"] == [((1, n), (n, n))] * (n - 1)
+
+
+def test_detail_walks_from_every_heavy_pivot(counted):
+    # A 2-cycle of weight 1 at nodes 3 and 10 flags pivot 10 first.  A
+    # heavier 2-cycle at nodes 20 and 40 (weight 3) avoids node 10 and
+    # flags pivot 40.  The heaviest closed walk of length <= 64 goes round
+    # the second cycle 32 times (96).  Through node 10 it can go round 31
+    # times, by the edges 10 -> 20 and 20 -> 10 of weight -1 (91).
+    n = 64
+    rng = np.random.default_rng(65)
+    B = rng.integers(-8, 0, size=(n, n)).astype(float)
+    B[3, 10], B[10, 3] = 1, 0
+    B[20, 40], B[40, 20] = 3, 0
+    B[10, 20] = B[20, 10] = -1
+    B = t.tmatrix(t.MAX_PLUS, B)
+    assert _kernels.closure(B.data, B.sf)[1] == [10, 40]
+    assert _kernels.walk_trace(B.data, [10], B.sf) == 91
+    ref = power_trace_loop(B)
+    assert ref == 96
+    counted["matmul"].clear()
+    zero = t.tvector(t.MAX_PLUS, [0] * n)
+    report = t.solve_general(B, zero, zero)
+    assert report.detail.value == ref
+    assert counted["matmul"] == [((2, n), (n, n))] * (n - 1)
+
+
+def _walk_loop(a, starts):
+    """power_trace_loop with the closed walks restricted to the given starts:
+    row h of A^k = A^(k-1) A for each start h, summed left to right."""
+    acc = a.sf.zero
+    for h in starts:
+        row = t.TropicalMatrix(a.sf, a.data[[h]])
+        for _ in range(a.rows):
+            acc = float(a.sf.add(acc, row[0, h]))
+            row = row @ a
+    return acc
+
+
+@pytest.mark.parametrize("n", [48, 64, 96])
+@pytest.mark.parametrize("sf", PLUS, ids=lambda sf: sf.tag)
+def test_real_valued_detail_keeps_the_left_to_right_sums(sf, n):
+    # Edges in [-10, -1] and one planted cycle of 2-5 real, non-dyadic
+    # weights that sum to about 0.3.  Only the cycle's highest node is
+    # heavy.  The detail is the loop's left-to-right sums over the closed
+    # walks from that node, bit for bit.  The loop also takes the walks'
+    # other rotations, which round differently, so against it the detail
+    # holds only to rounding.
+    s = -1.0 if sf.minimize else 1.0
+    for seed in range(4):
+        rng = np.random.default_rng([n, seed])
+        B = -rng.uniform(1, 10, size=(n, n))
+        cycle = rng.permutation(n)[: rng.integers(2, 6)]
+        w = rng.uniform(-1, 1, cycle.size)
+        B[cycle, np.roll(cycle, -1)] = w + (0.3 - w.sum()) / cycle.size
+        a = t.tmatrix(sf, s * B)
+        assert _kernels.closure(a.data, sf)[1] == [max(cycle)]
+        ones = t.tvector(sf, [sf.one] * n)
+        report = t.solve_general(a, ones, ones)
+        assert report.reason is t.InfeasibleReason.TR_EXCEEDS_ONE
+        assert report.detail.value == _walk_loop(a, [max(cycle)])
+        assert report.detail.value == pytest.approx(power_trace_loop(a), rel=1e-13, abs=0)
 
 
 def test_divergent_star_spends_no_product_on_the_identity(counted):

@@ -162,6 +162,85 @@ class TestBruteForce:
                 assert t.contains(sol, inst, t.tvector(mp, a))
 
 
+class TestDyadicData:
+    """Data that are multiples of 2^-k put the optimizers on the lattice of
+    step 2^-(k+1); the default grid carries it, and the oracle finds them."""
+
+    @pytest.mark.parametrize("values, step, fine", [
+        ([3, -7, 0], 0.5, None),
+        ([3, -7.5, 0], 0.5, 0.25),
+        ([0.75, 2], 0.5, 0.125),
+        ([2**-8, 1], 0.5, 2**-9),
+        ([2**-9, 1], 0.5, None),
+        ([0.3, 1], 0.5, None),
+        ([3, -7.5], 0.25, None),
+        ([3, -7], 1.0, 0.5),
+    ])
+    def test_fine_step_follows_the_data(self, values, step, fine):
+        inst = t.problem(t.MAX_PLUS, values, values)
+        assert t.default_grid(inst, step).fine_step == fine
+
+    def test_fine_step_is_checked_and_takes_part_in_equality(self):
+        grid = t.GridSpec(np.zeros(2), np.ones(2), 0.5, 0.25)
+        assert grid == t.GridSpec(np.zeros(2), np.ones(2), 0.5, 0.25)
+        assert grid != t.GridSpec(np.zeros(2), np.ones(2), 0.5)
+        assert hash(grid) == hash(t.GridSpec(np.zeros(2), np.ones(2), 0.5, 0.25))
+        for bad in (0.5, 0.0, -0.25, np.nan):
+            with pytest.raises(DomainError, match="fine step"):
+                t.GridSpec(np.zeros(2), np.ones(2), 0.5, bad)
+
+    def test_half_integer_optimum_off_the_half_grid(self, mp):
+        # The optimum -0.75 is at x = -0.25: off the step-1/2 grid, where
+        # the best value is -0.5.
+        inst = t.problem(mp, [-1], [0.5])
+        assert t.brute_force_min(inst, t.GridSpec([-4.0], [4.0])).min_value.value == -0.5
+        res = t.brute_force_min(inst)
+        assert res.min_value == t.solve_instance(inst).theta == mp.scalar(-0.75)
+        assert [a.tolist() for a in res.argmins] == [[-0.25]]
+
+    @pytest.mark.parametrize("sf", [t.MAX_PLUS, t.MIN_PLUS], ids=lambda sf: sf.tag)
+    def test_refinement_matches_the_full_fine_scan(self, sf):
+        # Multiples of 1/2 and 1/4, n = 1-3, with and without B, g and h.
+        # The refined scan finds the solver's theta.  At n <= 2 that is the
+        # minimum of a scan of every point of the fine lattice.  Its argmins are those
+        # of the step-1/2 grid when that grid attains the minimum, and
+        # those of the fine lattice otherwise.
+        rng = np.random.default_rng(77)
+        s = -1.0 if sf.minimize else 1.0
+        refined = 0
+        for k in range(60):
+            n = int(rng.integers(1, 4))
+            raw = random_feasible_instance(rng, n, with_box=k % 2 == 0, mixed_B=k % 3 == 0)
+            scale = 2.0 if k % 4 else 4.0
+            raw = {key: None if v is None else s * np.asarray(v) / scale for key, v in raw.items()}
+            inst = as_instance(sf, raw)
+            grid = t.default_grid(inst)
+            assert grid.fine_step in (0.25, 0.125, None)
+            res = t.brute_force_min(inst)
+            sol = t.solve_instance(inst)
+            assert res.min_value == sol.theta
+            assert t.contains(sol, inst, t.tmatrix(sf, np.transpose(res.argmins)))
+            if grid.fine_step is None or n == 3:  # the full fine grid of n = 3 trips the guard
+                continue
+            full = t.brute_force_min(inst, t.GridSpec(grid.lower, grid.upper, grid.fine_step))
+            coarse = t.brute_force_min(inst, t.GridSpec(grid.lower, grid.upper, grid.step))
+            assert res.min_value == full.min_value
+            assert res.feasible_count == coarse.feasible_count
+            expect = coarse if coarse.min_value == full.min_value else full
+            refined += expect is full
+            assert np.array_equal(res.argmins, expect.argmins)
+        assert refined > 5
+
+    def test_refinement_is_held_to_the_guard(self, mp):
+        from tropt.oracle import _improving_axes
+        grid = t.GridSpec(np.full(2, -100.0), np.full(2, 100.0), 0.5, 2**-9)
+        zero = np.zeros(2)
+        with pytest.raises(GridGuardError, match="refinement"):
+            _improving_axes(grid, zero, zero, 90.0, mp)
+        assert _improving_axes(grid, zero, zero, 0.0, mp) is None
+        assert [a.tolist() for a in _improving_axes(grid, zero, zero, 2**-9, mp)] == [[0.0]] * 2
+
+
 def grid_scan_rows(X, B, g, h, p, qc, sf):
     """Feasibility and objective of each row of X, one broadcast over all rows.
 

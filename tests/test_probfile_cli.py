@@ -193,6 +193,21 @@ class TestCliVerify:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["summary"] == "agree: theta = 9"
 
+    @pytest.mark.parametrize("doc, theta", [
+        ({"problem": "location", "points": [[1], [-3]], "weights": [2.5, 1],
+          "g": [-5], "h": [10]}, 3.75),
+        ({"problem": "unconstrained", "semifield": "max-plus", "p": [-1], "q": [0.5]}, -0.75),
+    ], ids=["location", "unconstrained"])
+    def test_verify_agrees_on_half_integer_data(self, doc, theta, tmp_path, capsys):
+        # The optimizers lie on the quarter lattice, off the default step 1/2.
+        f = tmp_path / "half.json"
+        f.write_text(json.dumps(doc))
+        code = main(["verify", str(f)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0, out
+        assert out["status"] == "agree"
+        assert out["oracle_min"] == out["solver_theta"] == theta
+
     def test_verify_reports_a_theta_disagreement(self, capsys):
         # the box holds feasible points (x_1 >= 3) but none of the optimizers (x_1 = 2)
         code = main(["verify", str(PROBLEMS / "general.json"), "--grid-lo=3,0", "--grid-hi=6,8"])
