@@ -9,9 +9,10 @@ The default grid step is 1/2: the closed-form optimum involves a square
 root that halves an integer, so for integer instances the optimizers lie
 on the half-integer lattice and the oracle is exact, not approximate.
 Data that are all multiples of 2^-k put the optimizers on the lattice of
-step 2^-(k+1) in the same way.  For such data the default grid carries
-that finer step as well, and the oracle scans it wherever a point could
-beat the best point of the step-1/2 grid (see :func:`brute_force_min`).
+step 2^-(k+1) in the same way.  When that lattice is finer than a grid
+of step 1/2 or less, the oracle scans it as well, wherever a point could
+beat the best point of the grid (see :func:`brute_force_min`).  A coarser
+grid is approximate by choice and is scanned as it is.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = ["GridSpec", "OracleResult", "default_grid", "brute_force_min"]
 
 MAX_POINTS = 10**6
 # Data need at most this many binary digits after the point for the
-# default grid to carry their finer lattice; real-valued data need ~50.
+# oracle to scan their finer lattice; real-valued data need ~50.
 MAX_FRACTION_BITS = 8
 
 
@@ -38,18 +39,12 @@ MAX_FRACTION_BITS = 8
 class GridSpec:
     """A rectangular grid: per-dimension bounds plus a common step.
 
-    ``fine_step``, when set, is a positive step below ``step``: the grid
-    then also stands for the finer lattice from the same lower bounds,
-    which :func:`brute_force_min` scans where it could improve on the
-    grid's best point.  Only the points of ``step`` count towards the
-    guard and :meth:`point_count`.  Two grids are equal when their bounds
-    and steps are.
+    Two grids are equal when their bounds and steps are.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     step: float = 0.5
-    fine_step: float | None = None
 
     _counts: tuple = field(init=False, repr=False)
 
@@ -66,8 +61,6 @@ class GridSpec:
             raise DomainError("grid lower bound exceeds upper bound")
         if not 0 < self.step < np.inf:
             raise DomainError(f"grid step must be positive and finite, got {self.step}")
-        if self.fine_step is not None and not 0 < self.fine_step < self.step:
-            raise DomainError(f"fine step must be positive and below the step, got {self.fine_step}")
         # The counts stay floats until they pass the guard: a span that
         # overflows, or a tiny step, gives an infinite count.
         with np.errstate(over="ignore"):
@@ -83,13 +76,11 @@ class GridSpec:
     def __eq__(self, other):
         if not isinstance(other, GridSpec):
             return NotImplemented
-        return (self.step == other.step and self.fine_step == other.fine_step
-                and np.array_equal(self.lower, other.lower)
+        return (self.step == other.step and np.array_equal(self.lower, other.lower)
                 and np.array_equal(self.upper, other.upper))
 
     def __hash__(self):
-        return hash((tuple(self.lower.tolist()), tuple(self.upper.tolist()), self.step,
-                     self.fine_step))
+        return hash((tuple(self.lower.tolist()), tuple(self.upper.tolist()), self.step))
 
     def axis(self, i: int) -> np.ndarray:
         return self.lower[i] + self.step * np.arange(self._counts[i])
@@ -123,28 +114,20 @@ def default_grid(inst: ProblemInstance, step: float = 0.5) -> GridSpec:
     Bounded dimensions use [g, h] directly.  Unbounded ones get symmetric
     padding derived from the magnitudes of all finite inputs: the optimum
     never exceeds twice the largest magnitude D, so every optimizer
-    coordinate lies within 3D of the origin.  Only the additive
-    semifields have a natural real grid; pass an explicit GridSpec for
-    the multiplicative ones.
-
-    When every finite input is a multiple of 2^-k, for the least k up to
-    ``MAX_FRACTION_BITS``, the optimizers lie on the lattice of step
-    2^-(k+1), and the grid carries that as ``fine_step`` if it is finer
-    than ``step``.  Integer data (k = 0) at the default step carry none.
+    coordinate lies within 3D of the origin.  When the data's lattice is
+    finer than the step (see :func:`brute_force_min`), the padding 3D + 1
+    is rounded up to a multiple of the step, so that those dimensions
+    hold multiples of the step, as they do for integer data.  Only the
+    additive semifields have a natural real grid; pass an explicit
+    GridSpec for the multiplicative ones.
     """
     if inst.sf.times:
         raise DomainError("no default grid for multiplicative semifields; pass a GridSpec")
-    pools = [inst.p.data, inst.q.data]
-    if inst.g is not None:
-        pools.append(inst.g.data)
-    if inst.h is not None:
-        pools.append(inst.h.data)
-    if inst.B is not None:
-        pools.append(inst.B.data)
-    finite = np.concatenate([p.reshape(-1) for p in pools])
-    finite = finite[np.isfinite(finite)]
+    finite = _finite_data(inst)
     d = float(np.abs(finite).max()) if finite.size else 1.0
     pad = 3.0 * d + 1.0
+    if pad % step and _fine_step(finite, step) is not None:
+        pad = step * float(np.ceil(pad / step))
     lower = np.full(inst.n, -pad)
     upper = np.full(inst.n, pad)
     if inst.g is not None:
@@ -161,7 +144,20 @@ def default_grid(inst: ProblemInstance, step: float = 0.5) -> GridSpec:
             lower[mask] = np.maximum(lower[mask], hv[mask])
         else:
             upper[mask] = np.minimum(upper[mask], hv[mask])
-    return GridSpec(lower, np.maximum(lower, upper), step, _fine_step(finite, step))
+    return GridSpec(lower, np.maximum(lower, upper), step)
+
+
+def _finite_data(inst):
+    """The finite entries of p, q, g, h and B, flattened."""
+    pools = [inst.p.data, inst.q.data]
+    if inst.g is not None:
+        pools.append(inst.g.data)
+    if inst.h is not None:
+        pools.append(inst.h.data)
+    if inst.B is not None:
+        pools.append(inst.B.data)
+    finite = np.concatenate([p.reshape(-1) for p in pools])
+    return finite[np.isfinite(finite)]
 
 
 def _fine_step(values, step):
@@ -192,15 +188,22 @@ def brute_force_min(
     objective value per point, then the values and tolerance test of the
     feasible points only.
 
-    A grid with a ``fine_step`` is refined after that scan.  A point beats
-    the best value v only if each objective term does, which bounds every
-    coordinate to an open interval: ``p_i - x_i < v`` and ``x_i - q_i < v``
-    in max-plus, reversed in min-plus.  The fine lattice is scanned inside
-    those intervals (and the grid's bounds); when its best value beats v
-    beyond the tolerance, its minimum and argmins are the result.
-    Otherwise the grid's own are.  The refinement is held to
-    ``MAX_POINTS`` as well.  With no feasible grid point there is nothing
-    to refine.
+    On the additive semifields the scan is then refined.  When every
+    finite input is a multiple of 2^-k, for the least k up to
+    ``MAX_FRACTION_BITS``, the optimizers lie on the lattice of multiples
+    of 2^-(k+1); if that is finer than the grid's step, and the step is at
+    most 1/2 (the step that is exact on integer data), it is scanned too,
+    within the grid's bounds, where a point could beat the grid's best
+    value v.  Such a point beats v in each objective term, which bounds
+    every coordinate to an open interval: ``p_i - x_i < v`` and
+    ``x_i - q_i < v`` in max-plus, reversed in min-plus.  When the fine
+    lattice's best value beats v beyond the tolerance, its minimum and
+    argmins are the result; otherwise the grid's own are.  The grid's
+    feasible count is reported either way.  A refinement that would hold
+    more than ``MAX_POINTS`` points is not made, and the grid's answer
+    stands, as it does for data with no such lattice.  With no feasible
+    grid point there is nothing to refine.  Integer data on a step-1/2
+    grid need no refinement.
     """
     sf = inst.sf
     if inst.n > 3:
@@ -230,8 +233,8 @@ def brute_force_min(
         return best, list(argmins), int(fvals.size)
 
     best, argmins, count = scan([grid.axis(i) for i in range(inst.n)])
-    if best is not None and grid.fine_step is not None and np.isfinite(best):
-        axes = _improving_axes(grid, p, qc, best, sf)
+    if not sf.times and grid.step <= 0.5 and best is not None and math.isfinite(best):
+        axes = _improving_axes(inst, grid, p, qc, best)
         if axes is not None:
             fine_best, fine_argmins, _ = scan(axes)
             if fine_best is not None and not sf.eq(fine_best, best, eps):
@@ -241,39 +244,34 @@ def brute_force_min(
     return OracleResult(TropicalScalar(best, sf), argmins, count)
 
 
-def _improving_axes(grid, p, qc, v, sf):
-    """Per axis, the points of the fine lattice at which both objective terms beat v.
+def _improving_axes(inst, grid, p, qc, v):
+    """Per axis, the points of the data's fine lattice within the grid's
+    bounds at which both objective terms beat v.
 
     The terms of coordinate i are ``p_i - x_i`` and ``x_i + qc_i``.  Each
     is monotone in x_i, so both beat v (are less in max-plus, greater in
-    min-plus) on an interval of the axis, which the open interval between
-    ``p_i - v`` and ``v - qc_i`` brackets to within a point.  The axes keep
-    the grid's bounds and lower origin.  None when an axis is empty, as no
-    point can then beat v.
+    min-plus) on the open interval between ``p_i - v`` and ``v - qc_i``.
+    The lattice is the multiples of :func:`_fine_step`'s step.  None when
+    an interval is empty, as no point can then beat v, when the data have
+    no lattice finer than the grid, or when the box of the intervals would
+    hold more than ``MAX_POINTS`` of its points.
     """
-    fine = grid.fine_step
-    beats = (lambda a: a > v) if sf.minimize else (lambda a: a < v)
-    spans = []
-    for i in range(len(grid.lower)):
-        lower, pi, qi = float(grid.lower[i]), float(p[i]), float(qc[i])
-        count = math.floor((float(grid.upper[i]) - lower) / fine + 1e-9) + 1
-        lo, hi = (v - qi, pi - v) if sf.minimize else (pi - v, v - qi)  # lo may be -inf, hi +inf
-        if lo >= hi:
-            return None
-        first = 0 if lo == -math.inf else max(0, math.floor((lo - lower) / fine))
-        last = count - 1 if hi == math.inf else min(count - 1, math.ceil((hi - lower) / fine))
-        if first > last:
-            return None
-        spans.append((lower, pi, qi, first, last))
-    total = math.prod(last - first + 1 for *_, first, last in spans)
-    if total > MAX_POINTS:
-        raise GridGuardError(
-            f"the refinement at step {fine} would hold {total} points (limit {MAX_POINTS})"
-        )
+    sf = inst.sf
+    lo, hi = (v - qc, p - v) if sf.minimize else (p - v, v - qc)  # lo may be -inf, hi +inf
+    if not (lo < hi).all():  # the usual case once the grid attains the optimum
+        return None
+    fine = _fine_step(_finite_data(inst), grid.step)
+    if fine is None:
+        return None
+    first = np.ceil(np.maximum(grid.lower, lo) / fine)
+    last = np.floor(np.minimum(grid.upper, hi) / fine)
+    if not (first <= last).all() or np.prod(last - first + 1) > MAX_POINTS:
+        return None
+    beats = np.greater if sf.minimize else np.less
     axes = []
-    for lower, pi, qi, first, last in spans:
-        xs = (lower + fine * j for j in range(first, last + 1))
-        axis = np.array([x for x in xs if beats(pi - x) and beats(x + qi)])
+    for i in range(len(first)):
+        axis = fine * np.arange(first[i], last[i] + 1)
+        axis = axis[beats(p[i] - axis, v) & beats(axis + qc[i], v)]
         if axis.size == 0:
             return None
         axes.append(axis)

@@ -164,7 +164,7 @@ class TestBruteForce:
 
 class TestDyadicData:
     """Data that are multiples of 2^-k put the optimizers on the lattice of
-    step 2^-(k+1); the default grid carries it, and the oracle finds them."""
+    step 2^-(k+1); the oracle scans it where it is finer than the grid."""
 
     @pytest.mark.parametrize("values, step, fine", [
         ([3, -7, 0], 0.5, None),
@@ -177,26 +177,22 @@ class TestDyadicData:
         ([3, -7], 1.0, 0.5),
     ])
     def test_fine_step_follows_the_data(self, values, step, fine):
+        from tropt.oracle import _finite_data, _fine_step
         inst = t.problem(t.MAX_PLUS, values, values)
-        assert t.default_grid(inst, step).fine_step == fine
-
-    def test_fine_step_is_checked_and_takes_part_in_equality(self):
-        grid = t.GridSpec(np.zeros(2), np.ones(2), 0.5, 0.25)
-        assert grid == t.GridSpec(np.zeros(2), np.ones(2), 0.5, 0.25)
-        assert grid != t.GridSpec(np.zeros(2), np.ones(2), 0.5)
-        assert hash(grid) == hash(t.GridSpec(np.zeros(2), np.ones(2), 0.5, 0.25))
-        for bad in (0.5, 0.0, -0.25, np.nan):
-            with pytest.raises(DomainError, match="fine step"):
-                t.GridSpec(np.zeros(2), np.ones(2), 0.5, bad)
+        assert _fine_step(_finite_data(inst), step) == fine
 
     def test_half_integer_optimum_off_the_half_grid(self, mp):
         # The optimum -0.75 is at x = -0.25: off the step-1/2 grid, where
-        # the best value is -0.5.
+        # the best value is -0.5.  Explicit grids are refined as well, on
+        # the multiples of 1/4 whatever their lower bound.
         inst = t.problem(mp, [-1], [0.5])
-        assert t.brute_force_min(inst, t.GridSpec([-4.0], [4.0])).min_value.value == -0.5
-        res = t.brute_force_min(inst)
-        assert res.min_value == t.solve_instance(inst).theta == mp.scalar(-0.75)
-        assert [a.tolist() for a in res.argmins] == [[-0.25]]
+        assert _point_wise(inst, t.GridSpec([-4.0], [4.0]))[0] == -0.5
+        # a grid coarser than 1/2 is scanned as it is
+        assert t.brute_force_min(inst, t.GridSpec([-4.0], [4.0], 1.0)).min_value.value == -0.5
+        for grid in (None, t.GridSpec([-4.0], [4.0]), t.GridSpec([-3.9], [4.0])):
+            res = t.brute_force_min(inst, grid)
+            assert res.min_value == t.solve_instance(inst).theta == mp.scalar(-0.75)
+            assert [a.tolist() for a in res.argmins] == [[-0.25]]
 
     @pytest.mark.parametrize("sf", [t.MAX_PLUS, t.MIN_PLUS], ids=lambda sf: sf.tag)
     def test_refinement_matches_the_full_fine_scan(self, sf):
@@ -205,6 +201,7 @@ class TestDyadicData:
         # minimum of a scan of every point of the fine lattice.  Its argmins are those
         # of the step-1/2 grid when that grid attains the minimum, and
         # those of the fine lattice otherwise.
+        from tropt.oracle import _finite_data, _fine_step
         rng = np.random.default_rng(77)
         s = -1.0 if sf.minimize else 1.0
         refined = 0
@@ -215,30 +212,53 @@ class TestDyadicData:
             raw = {key: None if v is None else s * np.asarray(v) / scale for key, v in raw.items()}
             inst = as_instance(sf, raw)
             grid = t.default_grid(inst)
-            assert grid.fine_step in (0.25, 0.125, None)
+            fine = _fine_step(_finite_data(inst), grid.step)
+            assert fine in (0.25, 0.125, None)
             res = t.brute_force_min(inst)
             sol = t.solve_instance(inst)
             assert res.min_value == sol.theta
             assert t.contains(sol, inst, t.tmatrix(sf, np.transpose(res.argmins)))
-            if grid.fine_step is None or n == 3:  # the full fine grid of n = 3 trips the guard
+            if fine is None or n == 3:  # the full fine grid of n = 3 trips the guard
                 continue
-            full = t.brute_force_min(inst, t.GridSpec(grid.lower, grid.upper, grid.fine_step))
-            coarse = t.brute_force_min(inst, t.GridSpec(grid.lower, grid.upper, grid.step))
+            full = t.brute_force_min(inst, t.GridSpec(grid.lower, grid.upper, fine))
+            coarse, coarse_argmins, coarse_count = _point_wise(inst, grid)
             assert res.min_value == full.min_value
-            assert res.feasible_count == coarse.feasible_count
-            expect = coarse if coarse.min_value == full.min_value else full
-            refined += expect is full
-            assert np.array_equal(res.argmins, expect.argmins)
+            assert res.feasible_count == coarse_count
+            if coarse == full.min_value.value:
+                assert np.array_equal(res.argmins, coarse_argmins)
+            else:
+                refined += 1
+                assert np.array_equal(res.argmins, full.argmins)
         assert refined > 5
 
-    def test_refinement_is_held_to_the_guard(self, mp):
+    def test_refinement_too_large_keeps_the_grid_answer(self):
+        # x0 >= x1 + 3 moves the optimum off the objective's own minimum,
+        # and the slack entry -10 + 2^-8 puts the data on the lattice of
+        # 2^-9.  The box where a point could beat theta = 1.5 holds about
+        # 1537^2 points of it, past the guard; the step-1/2 grid already
+        # attains theta, and its answer stands.  The grid's padding, 3 D + 1
+        # for the largest magnitude D, is rounded up to a multiple of 1/2
+        # to hold it.
+        mp = t.MAX_PLUS
+        inst = t.problem(mp, [0, 0], [0, 0], B=[[-np.inf, 3], [-10 + 2**-8, -np.inf]])
+        assert t.default_grid(inst) == t.GridSpec(np.full(2, -31.0), np.full(2, 31.0))
+        res = t.brute_force_min(inst)
+        assert res.min_value == t.solve_instance(inst).theta == mp.scalar(1.5)
+        best, argmins, count = _point_wise(inst, t.default_grid(inst))
+        assert np.array_equal(res.argmins, argmins) and res.feasible_count == count
+
+    def test_improving_axes_are_multiples_of_the_fine_step(self, mp):
         from tropt.oracle import _improving_axes
-        grid = t.GridSpec(np.full(2, -100.0), np.full(2, 100.0), 0.5, 2**-9)
         zero = np.zeros(2)
-        with pytest.raises(GridGuardError, match="refinement"):
-            _improving_axes(grid, zero, zero, 90.0, mp)
-        assert _improving_axes(grid, zero, zero, 0.0, mp) is None
-        assert [a.tolist() for a in _improving_axes(grid, zero, zero, 2**-9, mp)] == [[0.0]] * 2
+        grid = t.GridSpec(np.full(2, -100.3), np.full(2, 100.0), 0.5)
+        inst = t.problem(mp, zero, zero, B=[[-np.inf, 2**-8], [-np.inf, -np.inf]])  # lattice 2^-9
+        assert _improving_axes(inst, grid, zero, zero, 90.0) is None  # past the guard
+        assert _improving_axes(inst, grid, zero, zero, 0.0) is None
+        assert [a.tolist() for a in _improving_axes(inst, grid, zero, zero, 2**-9)] == [[0.0]] * 2
+        inst = t.problem(mp, zero, [0.5, 0])  # lattice 1/4
+        assert [a.tolist() for a in _improving_axes(inst, grid, zero, zero, 0.6)] == \
+            [[-0.5, -0.25, 0.0, 0.25, 0.5]] * 2
+        assert _improving_axes(inst, t.GridSpec(zero, np.ones(2), 0.25), zero, zero, 0.6) is None
 
 
 def grid_scan_rows(X, B, g, h, p, qc, sf):

@@ -208,6 +208,26 @@ class TestCliVerify:
         assert out["status"] == "agree"
         assert out["oracle_min"] == out["solver_theta"] == theta
 
+    def test_verify_refines_an_explicit_half_grid(self, tmp_path, capsys):
+        f = tmp_path / "half.json"
+        f.write_text(json.dumps({"problem": "unconstrained", "semifield": "max-plus",
+                                 "p": [-1], "q": [0.5]}))
+        code = main(["verify", str(f), "--grid-lo=-4", "--grid-hi=4"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["oracle_min"] == -0.75
+
+    def test_verify_keeps_the_grid_answer_past_the_refinement_guard(self, tmp_path, capsys):
+        # The data need the lattice of 2^-9, too fine to scan around the
+        # optimum; the step-1/2 grid attains it.
+        f = tmp_path / "fine.json"
+        f.write_text(json.dumps({"problem": "general", "semifield": "max-plus",
+                                 "p": [0, 0], "q": [0, 0],
+                                 "B": [["-inf", 3], [-10 + 2**-8, "-inf"]]}))
+        code = main(["verify", str(f)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["status"] == "agree"
+        assert out["oracle_min"] == out["solver_theta"] == 1.5
+
     def test_verify_reports_a_theta_disagreement(self, capsys):
         # the box holds feasible points (x_1 >= 3) but none of the optimizers (x_1 = 2)
         code = main(["verify", str(PROBLEMS / "general.json"), "--grid-lo=3,0", "--grid-hi=6,8"])
