@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`tropt.semifield` -- scalar algebra of the four semifields;
+* :mod:`tropt.semifield` -- scalar algebra of the four semifields, each built from its tag;
 * :mod:`tropt.linalg`    -- matrices/vectors, Kleene star, cycle test, conjugation;
 * :mod:`tropt.systems`   -- closed-form solutions of the linear inequalities;
 * :mod:`tropt.solve`     -- the four minimax solvers;
@@ -39,7 +39,6 @@ from .semifield import (
     MIN_TIMES,
     SEMIFIELDS,
     Semifield,
-    SemifieldKind,
     TropicalScalar,
     by_tag,
 )

@@ -123,7 +123,7 @@ def closure(a, sf):
     for k in range(n):
         if (d[k, k] < one) if minimize else (d[k, k] > one):
             heavy.append(k)
-            if 1 < n < _MIN_WALK_N or not _walk_is_cheaper(len(heavy), n, n - k - 1):
+            if not _walk_is_cheaper(len(heavy), n, n - k - 1):
                 return None, None
             d[k, :] = zero
             d[:, k] = zero
@@ -156,10 +156,6 @@ def _walk_is_cheaper(heavy, n, rest):
     squarings = hi.bit_length() - 1 + (n - hi).bit_count() - 1
     walk = (n - 1) * (_CALL_ELEMENTS + heavy * n * n) + rest * (_CALL_ELEMENTS + n * n)
     return walk < squarings * (_CALL_ELEMENTS + n ** 3)
-
-
-# Below this n, squaring beats walks from even one heavy pivot.
-_MIN_WALK_N = next(n for n in range(2, 1 << 10) if _walk_is_cheaper(1, n, 0))
 
 
 def walk_trace(a, heavy, sf):

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import TroptError
 from .linalg import tmatrix
 from .oracle import GridSpec, brute_force_min, default_grid
-from .probfile import dump_json, load_problem, report_dict, solve_parsed
+from .probfile import dump_json, format_number, load_problem, report_dict, solve_parsed
 from .semifield import SEMIFIELDS
 from .solve import InfeasibilityReport, contains, solve_instance
 from .svg import render_svg
@@ -145,17 +145,13 @@ def _cmd_verify(args) -> int:
         ok = agree and members
         report["status"] = "agree" if ok else "disagree"
         report["summary"] = (
-            f"agree: theta = {_fmt_theta(theta.value)}" if ok
+            f"agree: theta = {format_number(theta.value)}" if ok
             else f"disagree: solver theta = {theta.value}, oracle = "
                  f"{None if oracle.empty else oracle.min_value.value}"
         )
         code = 0 if ok else 1
     _emit(dump_json(report), args.out)
     return code
-
-
-def _fmt_theta(v: float) -> str:
-    return str(int(v)) if v == int(v) else f"{v:.12g}"
 
 
 def _cmd_plot(args) -> int:

@@ -202,8 +202,9 @@ def brute_force_min(
     feasible count is reported either way.  A refinement that would hold
     more than ``MAX_POINTS`` points is not made, and the grid's answer
     stands, as it does for data with no such lattice.  With no feasible
-    grid point there is nothing to refine.  Integer data on a step-1/2
-    grid need no refinement.
+    grid point, v is the top of the order, so the whole box is scanned on
+    the fine lattice, and its minimum, argmins and feasible count are the
+    result.  Integer data on a step-1/2 grid need no refinement.
     """
     sf = inst.sf
     if inst.n > 3:
@@ -233,11 +234,13 @@ def brute_force_min(
         return best, list(argmins), int(fvals.size)
 
     best, argmins, count = scan([grid.axis(i) for i in range(inst.n)])
-    if not sf.times and grid.step <= 0.5 and best is not None and math.isfinite(best):
-        axes = _improving_axes(inst, grid, p, qc, best)
+    if not sf.times and grid.step <= 0.5 and (best is None or math.isfinite(best)):
+        axes = _improving_axes(inst, grid, p, qc, -sf.zero if best is None else best)
         if axes is not None:
-            fine_best, fine_argmins, _ = scan(axes)
-            if fine_best is not None and not sf.eq(fine_best, best, eps):
+            fine_best, fine_argmins, fine_count = scan(axes)
+            if best is None:
+                best, argmins, count = fine_best, fine_argmins, fine_count
+            elif fine_best is not None and not sf.eq(fine_best, best, eps):
                 best, argmins = fine_best, fine_argmins
     if best is None:
         return OracleResult(None, [], 0)

@@ -31,7 +31,7 @@ from .location import (
     solve_location,
     to_general_problem,
 )
-from .semifield import MAX_PLUS, SEMIFIELDS, Semifield, by_tag
+from .semifield import MAX_PLUS, SEMIFIELDS, by_tag
 from .solve import (
     InfeasibilityReport,
     ProblemInstance,
@@ -48,7 +48,6 @@ __all__ = [
     "load_problem",
     "parse_problem",
     "solve_parsed",
-    "canonical_json",
     "report_dict",
     "dump_json",
 ]
@@ -66,7 +65,6 @@ class ParsedProblem:
     """
 
     problem_type: str
-    sf: Semifield
     instance: ProblemInstance
     location: LocationInstance | None = None
 
@@ -117,6 +115,13 @@ def _json_number(x: float):
     if x == int(x) and abs(x) < 1e15:
         return int(x)
     return float(f"{x:.12g}")
+
+
+def format_number(x: float) -> str:
+    """x as text: integral values below 1e15 without a point, others to 12 digits."""
+    if abs(x) < 1e15 and x == int(x):
+        return str(int(x))
+    return f"{x:.12g}"
 
 
 def _jsonable(obj):
@@ -191,12 +196,12 @@ def parse_problem(doc, *, semifield_override: str | None = None) -> ParsedProble
                 np.array(pts), np.array(w),
                 B=_opt_arr(get_mat("B")), g=_opt_arr(get_vec("g")), h=_opt_arr(get_vec("h")),
             )
-            return ParsedProblem(ptype, sf, to_general_problem(loc), loc)
+            return ParsedProblem(ptype, to_general_problem(loc), loc)
 
         inst = problem(
             sf, get_vec("p"), get_vec("q"), g=get_vec("g"), h=get_vec("h"), B=get_mat("B")
         )
-        return ParsedProblem(ptype, sf, inst)
+        return ParsedProblem(ptype, inst)
     except ProblemFileError:
         raise
     except TroptError as exc:
@@ -214,30 +219,6 @@ def load_problem(path, *, semifield_override: str | None = None) -> ParsedProble
         except json.JSONDecodeError as exc:
             raise ProblemFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return parse_problem(doc, semifield_override=semifield_override)
-
-
-def canonical_json(parsed: ParsedProblem) -> str:
-    """Serialize a parsed problem back to its canonical file form."""
-    doc = {"problem": parsed.problem_type, "semifield": parsed.sf.tag}
-    if parsed.problem_type == "location":
-        loc = parsed.location
-        doc["points"] = loc.points
-        doc["weights"] = loc.weights
-        for name in ("B", "g", "h"):
-            v = getattr(loc, name)
-            if v is not None:
-                doc[name] = v
-    else:
-        inst = parsed.instance
-        doc["p"] = inst.p.column_values()
-        doc["q"] = inst.q.column_values()
-        for name in ("g", "h"):
-            v = getattr(inst, name)
-            if v is not None:
-                doc[name] = v.column_values()
-        if inst.B is not None:
-            doc["B"] = inst.B.data
-    return dump_json(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ semifields this reverses the usual numeric order.
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +19,6 @@ import numpy as np
 from .errors import DomainError, SemifieldMismatchError
 
 __all__ = [
-    "SemifieldKind",
     "Semifield",
     "TropicalScalar",
     "MAX_PLUS",
@@ -33,42 +30,37 @@ __all__ = [
 ]
 
 _INF = float("inf")
-
-
-class SemifieldKind(enum.Enum):
-    MAX_PLUS = "max-plus"
-    MIN_PLUS = "min-plus"
-    MAX_TIMES = "max-times"
-    MIN_TIMES = "min-times"
+_TAGS = ("max-plus", "min-plus", "max-times", "min-times")
 
 
 class Semifield:
-    """One of the four concrete idempotent semifields.
+    """One of the four concrete idempotent semifields, built from its tag.
 
-    All operations accept floats or numpy arrays and are pure.  ``minimize``
+    The tag ``"<add>-<mul>"`` names the two operations: ``max`` or ``min``
+    for the sum, ``plus`` or ``times`` for the product.  ``minimize``
     selects min as the additive operation, ``times`` selects ordinary
-    multiplication as the multiplicative one.  The two operations are the
-    numpy ufuncs ``add`` (max or min) and ``mul`` (ordinary + or x), so
-    their ``reduce`` and ``outer`` forms serve whole arrays.  Within the
-    carrier the naive float operations never produce NaN: the two
-    infinities of opposite sign can never meet.
+    multiplication as the multiplicative one; zero and one follow from
+    the pair.  All operations accept floats or numpy arrays and are pure.
+    The two operations are the numpy ufuncs ``add`` (max or min) and
+    ``mul`` (ordinary + or x), so their ``reduce`` and ``outer`` forms
+    serve whole arrays.  Within the carrier the naive float operations
+    never produce NaN: the two infinities of opposite sign can never meet.
     """
 
-    __slots__ = ("kind", "minimize", "times", "add", "mul", "zero", "one", "default_eps")
+    __slots__ = ("tag", "minimize", "times", "add", "mul", "zero", "one")
 
-    def __init__(self, kind, *, minimize, times, zero, one, default_eps):
-        self.kind = kind
-        self.minimize = minimize
-        self.times = times
-        self.add = np.minimum if minimize else np.maximum
-        self.mul = np.multiply if times else np.add
-        self.zero = zero
-        self.one = one
-        self.default_eps = default_eps
+    default_eps = 1e-9
 
-    @property
-    def tag(self) -> str:
-        return self.kind.value
+    def __init__(self, tag: str):
+        if tag not in _TAGS:
+            raise DomainError(f"unknown semifield tag {tag!r}")
+        self.tag = tag
+        self.minimize = tag.startswith("min")
+        self.times = tag.endswith("times")
+        self.add = np.minimum if self.minimize else np.maximum
+        self.mul = np.multiply if self.times else np.add
+        self.zero = _INF if self.minimize else 0.0 if self.times else -_INF
+        self.one = 1.0 if self.times else 0.0
 
     def __repr__(self):
         return f"Semifield({self.tag!r})"
@@ -186,26 +178,9 @@ class Semifield:
         return TropicalScalar(float(value), self)
 
 
-MAX_PLUS = Semifield(
-    SemifieldKind.MAX_PLUS, minimize=False, times=False,
-    zero=-_INF, one=0.0, default_eps=1e-9,
-)
-MIN_PLUS = Semifield(
-    SemifieldKind.MIN_PLUS, minimize=True, times=False,
-    zero=_INF, one=0.0, default_eps=1e-9,
-)
-MAX_TIMES = Semifield(
-    SemifieldKind.MAX_TIMES, minimize=False, times=True,
-    zero=0.0, one=1.0, default_eps=1e-9,
-)
-MIN_TIMES = Semifield(
-    SemifieldKind.MIN_TIMES, minimize=True, times=True,
-    zero=_INF, one=1.0, default_eps=1e-9,
-)
+MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES = map(Semifield, _TAGS)
 
-SEMIFIELDS = {
-    sf.tag: sf for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)
-}
+SEMIFIELDS = {sf.tag: sf for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)}
 
 
 def by_tag(tag: str) -> Semifield:

@@ -14,17 +14,11 @@ import numpy as np
 
 from .errors import DomainError
 from .location import LocationSolution
-from .probfile import ParsedProblem
+from .probfile import ParsedProblem, format_number as _fmt
 
 __all__ = ["render_svg"]
 
 _SIZE = 600.0
-
-
-def _fmt(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return f"{x:.12g}"
 
 
 def render_svg(parsed: ParsedProblem, result) -> str:

@@ -216,6 +216,34 @@ def test_heavy_pivots_cover_every_cycle_above_one(sf):
 
 
 @over_semifields
+def test_one_heavy_pivot_route_by_size_and_position(sf):
+    # One cycle above one, a loop at pivot k; every other cycle is below
+    # one.  Squaring reads the detail at every n below 19 and walks from
+    # the pivot read it from n = 35 on.  In between, the walks win once
+    # few enough pivots are left after k, so along k the routes run from
+    # squaring to walks.
+    routes = {}
+    for n in range(2, 41):
+        for k in range(n):
+            e = np.full((n, n), -1.0)
+            np.fill_diagonal(e, -np.inf)
+            e[k, k] = 1.0
+            e = -e if sf.minimize else e
+            plus, heavy = closure(np.exp(e) if sf.times else e, sf)
+            assert plus is None and heavy in (None, [k])
+            routes[n] = routes.get(n, "") + ("walk " if heavy else "square ")
+    for n, seq in routes.items():
+        seq = seq.split()
+        if n < 19:
+            assert set(seq) == {"square"}, n
+        elif n >= 35:
+            assert set(seq) == {"walk"}, n
+        else:
+            assert seq == sorted(seq), n
+    assert {"square", "walk"} <= set(routes[19].split())
+
+
+@over_semifields
 def test_grid_scan_variants_agree(sf):
     # Every point of each product grid against the loop, by bytes: B, g and
     # h each absent, present or holding zeros; axes of length 1; in the

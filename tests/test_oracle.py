@@ -247,6 +247,24 @@ class TestDyadicData:
         best, argmins, count = _point_wise(inst, t.default_grid(inst))
         assert np.array_equal(res.argmins, argmins) and res.feasible_count == count
 
+    def test_no_feasible_grid_point_scans_the_box_on_the_fine_lattice(self, mp):
+        # x_0 >= x_1 + 1/8 cuts off the origin, the one point of the
+        # step-1/2 grid in [0, 1/4]^2; on the lattice of 1/16 the box holds
+        # 25 points.  An infeasible instance stays empty.
+        inst = t.problem(mp, [0, 0], [0, 0], g=[0, 0], h=[0.25, 0.25],
+                         B=[[-np.inf, 0.125], [-np.inf, -np.inf]])
+        grid = t.default_grid(inst)
+        assert grid.points().tolist() == [[0.0, 0.0]]
+        res = t.brute_force_min(inst)
+        assert res.min_value == t.solve_instance(inst).theta == mp.scalar(0.125)
+        assert [a.tolist() for a in res.argmins] == [[0.125, 0.0]]
+        full = t.brute_force_min(inst, t.GridSpec(grid.lower, grid.upper, 1 / 16))
+        assert res.min_value == full.min_value and res.feasible_count == full.feasible_count == 6
+        assert np.array_equal(res.argmins, full.argmins)
+        inst = t.problem(mp, [0, 0], [0, 0], g=[0.125, 0], h=[0.25, 0.25],
+                         B=[[-np.inf, -np.inf], [0.25, -np.inf]])
+        assert t.brute_force_min(inst).empty
+
     def test_improving_axes_are_multiples_of_the_fine_step(self, mp):
         from tropt.oracle import _improving_axes
         zero = np.zeros(2)

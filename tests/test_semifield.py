@@ -24,6 +24,27 @@ class TestDefinitions:
         with pytest.raises(DomainError):
             t.by_tag("max-min")
 
+    @pytest.mark.parametrize("sf, minimize, times, zero, one", [
+        (t.MAX_PLUS, False, False, -math.inf, 0.0),
+        (t.MIN_PLUS, True, False, math.inf, 0.0),
+        (t.MAX_TIMES, False, True, 0.0, 1.0),
+        (t.MIN_TIMES, True, True, math.inf, 1.0),
+    ], ids=["max-plus", "min-plus", "max-times", "min-times"])
+    def test_built_from_its_tag(self, sf, minimize, times, zero, one):
+        built = t.Semifield(sf.tag)
+        for s in (sf, built):
+            assert (s.minimize, s.times, s.default_eps) == (minimize, times, 1e-9)
+            assert (repr(s.zero), repr(s.one)) == (repr(zero), repr(one))
+            assert s.add is (np.minimum if minimize else np.maximum)
+            assert s.mul is (np.multiply if times else np.add)
+            assert repr(s) == f"Semifield({sf.tag!r})"
+        assert t.by_tag(sf.tag) is sf and built is not sf
+
+    @pytest.mark.parametrize("tag", ["max-min", "plus-max", "MAX-PLUS", "", None])
+    def test_unknown_tag_is_rejected(self, tag):
+        with pytest.raises(DomainError, match="unknown semifield tag"):
+            t.Semifield(tag)
+
     def test_zero_one(self):
         assert t.MAX_PLUS.zero == -math.inf and t.MAX_PLUS.one == 0
         assert t.MIN_PLUS.zero == math.inf and t.MIN_PLUS.one == 0
