@@ -24,8 +24,6 @@ from tropt.svg import render_svg
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
-EMPTY_HALF_GRID = {"problem": "general", "semifield": "max-plus", "p": [0, 0], "q": [0, 0],
-                   "g": [0, 0], "h": [0.25, 0.25], "B": [["-inf", 0.125], ["-inf", "-inf"]]}
 
 
 class TestParsing:
@@ -227,7 +225,9 @@ class TestCliVerify:
         # origin, and x_0 >= x_1 + 1/8 cuts it off; the optimum 1/8 lies
         # on the lattice of 1/16.
         f = tmp_path / "fine.json"
-        f.write_text(json.dumps(EMPTY_HALF_GRID))
+        f.write_text(json.dumps({"problem": "general", "semifield": "max-plus",
+                                 "p": [0, 0], "q": [0, 0], "g": [0, 0], "h": [0.25, 0.25],
+                                 "B": [["-inf", 0.125], ["-inf", "-inf"]]}))
         code = main(["verify", str(f)])
         out = json.loads(capsys.readouterr().out)
         assert code == 0, out
