@@ -1,20 +1,25 @@
 """Numeric inner kernels: tropical products, closure, walks, powers of I + A and the grid scan.
 
 The kernels work on raw float64 encodings and take the semifield ``sf``
-whose operations they apply: every product is ``sf.mul`` (or its
-``outer`` form) and every sum ``sf.add`` (or its ``reduce`` form), so each
-operation is written once for all four semifields.  Within a semifield
-carrier the naive float operations are exact: opposite infinities never
-meet, so no NaN can appear.  The semifield is tested only for the
-direction of its order and, in the grid scan, for the form of the
-inverse.
+whose operations they apply: every product is ``sf.mul`` and every sum
+``sf.add`` (or its ``reduce`` form), so each operation is written once for
+all four semifields.  Within a semifield carrier the naive float
+operations are exact: opposite infinities never meet, so no NaN can
+appear.  The semifield is tested only for the direction of its order and,
+in the grid scan, for the form of the inverse.
 
-Products broadcast a rank-3 temporary and reduce it.  ``matmul`` runs
-over row blocks of its left factor whose temporary holds at most
-``_BLOCK_ELEMENTS`` elements, a fixed budget; operands that fit in one
-block run the unblocked expression.  Blocking changes which rows share a
-temporary, not the float operations on any row, so the results are
-bit-identical.
+Each loop is laid out so that numpy's innermost loop runs along a
+contiguous axis, with at most one operand broadcast along it.  A product
+broadcasts a rank-3 temporary, the terms a_ik b_kj over (i, k, j), and
+reduces it over the middle axis k, in the order 0 .. n-1.  Its innermost
+loop runs along j, so a narrow right factor (1 < l < m) runs as
+(b^T a^T)^T, whose innermost loop runs along i instead.  ``matmul`` runs
+over row blocks whose temporary holds at most ``_BLOCK_ELEMENTS``
+elements, a fixed budget; operands that fit in one block run the
+unblocked expression.  Neither the transposed form nor the blocking
+changes the float operations on any output, so the results are
+bit-identical.  Each elimination pivot copies row k and multiplies it by
+column k in place.
 
 The cycle test and the Kleene star come from one elimination
 (:func:`closure`).  It cuts each *heavy* pivot, one whose diagonal entry
@@ -68,24 +73,41 @@ def _empty(shape):
 
 
 def matmul(a, b, sf):
-    """(m,n) x (n,l) tropical product via broadcasting, over row blocks of a.
+    """(m,n) x (n,l) tropical product via broadcasting, over row blocks.
+
+    numpy's innermost loop runs along the output's last axis.  A narrow
+    right factor, 1 < l < m, would make that m n short loops of length l,
+    so the product runs as (b^T a^T)^T, with a^T copied to a contiguous
+    work array, and the innermost loop runs along m.  Both forms reduce
+    each output's n products along a middle axis, in the order
+    k = 0 .. n-1, so the bits are the same.  The left factor must hold
+    ``_ALIGN_ELEMENTS`` elements or more, so the products of small solves
+    keep their form: at n = 3 the two copies cost more than the long loop
+    saves.  A single column (l = 1) keeps its form too: numpy reduces a
+    contiguous axis in its own order, and its inner loop is already long.
 
     Operands within the budget take the one-line broadcast; larger ones
     reduce the same broadcast block by block into ``out``, through one
     temporary that every block reuses.
     """
+    swap = 1 < b.shape[1] < a.shape[0] and a.size >= _ALIGN_ELEMENTS
+    if swap:
+        at = _empty(a.shape[::-1])
+        at[...] = a.T
+        a, b = np.ascontiguousarray(b.T), at
     if a.size * b.shape[1] <= _BLOCK_ELEMENTS:
-        return sf.add.reduce(sf.mul(a[:, :, None], b[None, :, :]), axis=1)
-    mul, reduce = sf.mul, sf.add.reduce
-    m = a.shape[0]
-    step = max(1, _BLOCK_ELEMENTS // b.size)  # rows per block, at least one
-    out = _empty((m, b.shape[1]))
-    temp = _empty((min(step, m), *b.shape))
-    for i in range(0, m, step):
-        rows = slice(i, min(i + step, m))
-        part = temp[:rows.stop - i]
-        reduce(mul(a[rows, :, None], b[None, :, :], out=part), axis=1, out=out[rows])
-    return out
+        out = sf.add.reduce(sf.mul(a[:, :, None], b[None, :, :]), axis=1)
+    else:
+        mul, reduce = sf.mul, sf.add.reduce
+        m = a.shape[0]
+        step = max(1, _BLOCK_ELEMENTS // b.size)  # rows per block, at least one
+        out = _empty((m, b.shape[1]))
+        temp = _empty((min(step, m), *b.shape))
+        for i in range(0, m, step):
+            rows = slice(i, min(i + step, m))
+            part = temp[:rows.stop - i]
+            reduce(mul(a[rows, :, None], b[None, :, :], out=part), axis=1, out=out[rows])
+    return np.ascontiguousarray(out.T) if swap else out
 
 
 def product_trace(a, b, sf):
@@ -117,7 +139,7 @@ def closure(a, sf):
     n = a.shape[0]
     d = _empty(a.shape)
     d[...] = a
-    better, outer, one, zero, minimize = sf.add, sf.mul.outer, sf.one, sf.zero, sf.minimize
+    better, mul, one, zero, minimize = sf.add, sf.mul, sf.one, sf.zero, sf.minimize
     through = _empty(d.shape)
     heavy = []
     for k in range(n):
@@ -128,7 +150,9 @@ def closure(a, sf):
             d[k, :] = zero
             d[:, k] = zero
             continue
-        outer(d[:, k], d[k, :], out=through)
+        # through_ij = d_kj d_ik: the row copy leaves one broadcast operand.
+        through[...] = d[k, :]
+        mul(through, d[:, k, None], out=through)
         better(d, through, out=d)
     if heavy:
         return None, heavy

@@ -162,11 +162,19 @@ class TropicalMatrix:
         return (self._star_from(None) if star is None else star), trace
 
     def _star_from(self, plus) -> np.ndarray:
-        """I plus the plus-closure, or (I + A)^(n-1) when the closure diverged."""
+        """I plus the plus-closure, or (I + A)^(n-1) when the closure diverged.
+
+        The closure is the elimination's own work array, which nothing else
+        holds, so I is added to it in place: the zero everywhere, which
+        changes no value but makes a max-times -0.0 a +0.0 as the sum with
+        I does, then the one on the diagonal.
+        """
         sf, n = self.sf, self.rows
-        eye = _identity_data(sf, n)
         if plus is not None:
-            return sf.add(plus, eye)
+            sf.add(plus, sf.zero, out=plus)
+            np.fill_diagonal(plus, sf.add(np.diagonal(plus), sf.one))
+            return plus
+        eye = _identity_data(sf, n)
         if n < 3:  # the exponent n - 1 is 0 or 1
             return eye if n == 1 else sf.add(eye, self.data)
         factors = _kernels.power_factors(self.data, n - 1, sf)

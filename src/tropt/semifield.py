@@ -42,9 +42,9 @@ class Semifield:
     multiplication as the multiplicative one; zero and one follow from
     the pair.  All operations accept floats or numpy arrays and are pure.
     The two operations are the numpy ufuncs ``add`` (max or min) and
-    ``mul`` (ordinary + or x), so their ``reduce`` and ``outer`` forms
-    serve whole arrays.  Within the carrier the naive float operations
-    never produce NaN: the two infinities of opposite sign can never meet.
+    ``mul`` (ordinary + or x), which serve whole arrays.  Within the
+    carrier the naive float operations never produce NaN: the two
+    infinities of opposite sign can never meet.
     """
 
     __slots__ = ("tag", "minimize", "times", "add", "mul", "zero", "one")

@@ -5,6 +5,9 @@ same results one element at a time, with the semifield's order written out
 as comparisons and its product as ``+`` or ``*``: they read only
 ``sf.minimize`` and ``sf.times``, not the ufuncs the kernels take from
 ``sf``.  They are slow and serve only as the reference here.
+``matmul_in_order`` and ``closure_outer`` are numpy references that pin
+the signs of zero on ties: the first reduces in k order by numpy's tie
+rule, the second forms each pivot with ``sf.mul.outer`` and ``sf.add``.
 """
 
 import tracemalloc
@@ -13,7 +16,9 @@ import numpy as np
 import pytest
 
 import tropt as t
-from tropt._kernels import _BLOCK_ELEMENTS, closure, grid_scan, matmul, walk_trace
+from tropt._kernels import (
+    _ALIGN_ELEMENTS, _BLOCK_ELEMENTS, _walk_is_cheaper, closure, grid_scan, matmul, walk_trace,
+)
 
 SEMIFIELDS = [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES]
 # The ids name each semifield by its (minimize, times) flags.
@@ -310,6 +315,69 @@ def test_blocked_matmul_agrees(sf, m, n, l):
     assert not np.isnan(got).any()
 
 
+def matmul_in_order(a, b, sf):
+    """Products reduced over k = 0 .. n-1 in order, by numpy's tie rule.
+
+    numpy's maximum and minimum return their second argument on a tie, so
+    a later product replaces an equal earlier one, which decides between
+    -0.0 and +0.0.  A single column (l = 1) is the exception: numpy reduces
+    a contiguous axis in its own order, so each of its outputs is one 1-D
+    reduction of the n products.
+    """
+    minimize, times = sf.minimize, sf.times
+    m, n = a.shape
+    l = b.shape[1]
+    if l == 1:
+        best = np.minimum if minimize else np.maximum
+        products = a * b[:, 0] if times else a + b[:, 0]
+        return np.array([[best.reduce(row)] for row in products])
+    out = None
+    for k in range(n):
+        v = a[:, k, None] * b[None, k, :] if times else a[:, k, None] + b[None, k, :]
+        out = v if out is None else np.where((v <= out) if minimize else (v >= out), v, out)
+    return out
+
+
+def _tie_operands(rng, sf, m, n, l, mix):
+    """Operands whose products tie often.
+
+    ``mix`` 0 draws signed zeros and the semifield zero, so that every
+    output is a tie between zeros; 1 adds a value below one and 2 one above.
+    min-times has no signed zero: its ties fall on one.
+    """
+    if sf.times and sf.minimize:
+        vals = [1.0, np.inf, 2.0, 0.5]
+    elif sf.times:
+        vals = [0.0, -0.0, 0.5, 2.0]
+    else:
+        vals = [-0.0, 0.0, sf.zero, 1.0 if sf.minimize else -1.0, -1.0 if sf.minimize else 1.0]
+    vals = vals[:len(vals) - 2 + mix]
+    return rng.choice(vals, size=(m, n)), rng.choice(vals, size=(n, l))
+
+
+# l < m, l = m and l > m, m = 1 and l = 1, on both sides of the size floor
+# _ALIGN_ELEMENTS (on a) and of _BLOCK_ELEMENTS (on m n l).
+PRODUCT_SHAPES = [
+    (300, 300, 1), (200, 200, 2), (97, 40, 3), (260, 300, 2), (32, 32, 2), (31, 33, 2),
+    (64, 64, 1), (40, 40, 40), (41, 41, 41), (3, 40, 97), (1, 300, 300), (1, 50, 1),
+    (5, 8, 2), (2, 3, 1), (2, 300, 2),
+]
+
+
+@over_semifields
+def test_products_by_bytes(sf):
+    floor = {(m, n, l): m * n >= _ALIGN_ELEMENTS for m, n, l in PRODUCT_SHAPES}
+    block = {(m, n, l): m * n * l > _BLOCK_ELEMENTS for m, n, l in PRODUCT_SHAPES}
+    assert set(floor.values()) == set(block.values()) == {True, False}
+    rng = np.random.default_rng(68)
+    for m, n, l in PRODUCT_SHAPES:
+        for mix in range(3):
+            a, b = _tie_operands(rng, sf, m, n, l, mix)
+            got = matmul(a, b, sf)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == matmul_in_order(a, b, sf).tobytes(), (m, n, l)
+
+
 def test_blocked_matmul_memory_is_bounded():
     a = np.random.default_rng(66).uniform(-8, 8, size=(256, 256))
     tracemalloc.start()
@@ -334,3 +402,64 @@ def test_large_work_arrays_start_on_a_cache_line():
         assert matmul(a, a, t.MAX_PLUS).ctypes.data % 64 == 0
     small = closure(a[:8, :8], t.MAX_PLUS)[0]
     assert small.base is None and np.array_equal(small, closure_loop(a[:8, :8], t.MAX_PLUS))
+
+
+def closure_outer(a, sf):
+    """:func:`closure` with each pivot's terms from ``sf.mul.outer``, then ``sf.add``."""
+    n = a.shape[0]
+    d = a.copy()
+    through = np.empty_like(d)
+    heavy = []
+    for k in range(n):
+        if (d[k, k] < sf.one) if sf.minimize else (d[k, k] > sf.one):
+            heavy.append(k)
+            if not _walk_is_cheaper(len(heavy), n, n - k - 1):
+                return None, None
+            d[k, :] = sf.zero
+            d[:, k] = sf.zero
+            continue
+        sf.mul.outer(d[:, k], d[k, :], out=through)
+        sf.add(d, through, out=d)
+    if heavy:
+        return None, heavy
+    diag = np.diagonal(d)
+    if (diag < sf.one).any() if sf.minimize else (diag > sf.one).any():
+        return None, None
+    return d, []
+
+
+@over_semifields
+def test_elimination_by_bytes(sf):
+    # Real weights with +-0.0 entries (+-0.0 and 0.0 in max-times), n = 1 to
+    # 100, so that work arrays both below and above the alignment floor run.
+    # Each n also runs with a heavy pivot first, in the middle and last.
+    # The elimination keeps its work array after a cut to itself, so there
+    # the route and the heavy pivots are compared, and the closure of the
+    # graph with that pivot cut out by bytes.
+    rng = np.random.default_rng(69)
+    heavy_loop = {(False, False): 1.0, (True, False): -1.0, (False, True): 4.0, (True, True): 0.25}[
+        sf.minimize, sf.times]
+    for n in range(1, 101):
+        e = -rng.uniform(0.5, 8, size=(n, n))
+        e[rng.random((n, n)) < 0.1] = -np.inf
+        np.fill_diagonal(e, -1.0)
+        signs = rng.random((n, n)) < 0.1
+        e = -e if sf.minimize else e
+        base = np.exp(e / 4) if sf.times else e
+        if sf.times and sf.minimize:  # no signed zero in the carrier: ties at one
+            base[signs] = 1.0
+        else:
+            base[signs] = -0.0
+            base[signs & (rng.random((n, n)) < 0.5)] = 0.0
+        got, ref = closure(base, sf), closure_outer(base, sf)
+        assert got[1] == ref[1] == []
+        assert got[0].tobytes() == ref[0].tobytes(), n
+        for k in sorted({0, n // 2, n - 1}):
+            a = base.copy()
+            a[k, k] = heavy_loop
+            got, ref = closure(a, sf), closure_outer(a, sf)
+            assert got[0] is ref[0] is None and got[1] == ref[1], (n, k)
+            a[k, :] = sf.zero
+            a[:, k] = sf.zero
+            got, ref = closure(a, sf), closure_outer(a, sf)
+            assert got[0].tobytes() == ref[0].tobytes(), (n, k)

@@ -264,6 +264,31 @@ def test_star_matches_squaring_reference(sf, planted):
         assert a.star() == star_squaring_loop(a)
 
 
+@pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
+def test_star_is_identity_plus_closure_by_bytes(sf):
+    # star() adds I to the elimination's own work array in place.  Its bits
+    # are those of the sum with a separate identity, signs of zero included:
+    # in max-times a -0.0 off the diagonal becomes +0.0, as the sum with the
+    # identity's zero there makes it.
+    rng = np.random.default_rng(70)
+    for n in (1, 2, 3, 8, 33, 64):
+        for density in (0.1, 0.9):
+            e = np.where(rng.random((n, n)) < density, -rng.uniform(0.5, 8, size=(n, n)), -np.inf)
+            e = -e if sf.minimize else e
+            a = np.exp(e / 4) if sf.times else e
+            if not (sf.times and sf.minimize):
+                a[rng.random((n, n)) < 0.2] = -0.0
+            plus, heavy = _kernels.closure(a, sf)
+            assert heavy == []
+            want = sf.add(plus, t.identity(sf, n).data)
+            assert t.TropicalMatrix(sf, a).star().data.tobytes() == want.tobytes()
+
+
+def test_max_times_star_has_no_negative_zero_off_the_diagonal():
+    a = t.tmatrix(t.MAX_TIMES, [[0.5, -0.0], [0.0, 0.5]])
+    assert a.star().data.tobytes() == np.array([[1.0, 0.0], [0.0, 1.0]]).tobytes()
+
+
 HEAVY_ENTRIES = pytest.mark.parametrize(
     "sf, entry", [(t.MAX_TIMES, 4.0), (t.MIN_TIMES, 0.25), (t.MAX_PLUS, 1e300)],
     ids=["max-times", "min-times", "max-plus"],
