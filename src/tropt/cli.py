@@ -19,7 +19,7 @@ from .linalg import tmatrix
 from .oracle import GridSpec, brute_force_min, default_grid
 from .probfile import dump_json, format_number, load_problem, report_dict, solve_parsed
 from .semifield import SEMIFIELDS
-from .solve import InfeasibilityReport, contains, solve_instance
+from .solve import InfeasibilityReport, contains
 from .svg import render_svg
 
 __all__ = ["main"]
@@ -100,7 +100,7 @@ def _parse_bound(raw: str | None, n: int, name: str):
 def _cmd_solve(args) -> int:
     parsed = load_problem(args.file, semifield_override=args.semifield)
     result = solve_parsed(parsed)
-    _emit(dump_json(report_dict(result)), args.out)
+    _emit(dump_json(report_dict(result, parsed)), args.out)
     return 1 if isinstance(result, InfeasibilityReport) else 0
 
 
@@ -108,8 +108,7 @@ def _cmd_verify(args) -> int:
     parsed = load_problem(args.file, semifield_override=args.semifield)
     eps = _epsilon(args)
     inst = parsed.instance
-    # contains() needs a SolutionSet, so a location file takes the general solve
-    result = solve_instance(inst) if parsed.location is not None else solve_parsed(parsed)
+    result = solve_parsed(parsed)
 
     lo = _parse_bound(args.grid_lo, inst.n, "--grid-lo")
     hi = _parse_bound(args.grid_hi, inst.n, "--grid-hi")

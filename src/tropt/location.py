@@ -4,9 +4,9 @@ The problem: place one facility x in R^n minimizing the largest weighted
 Chebyshev distance to m demand points, subject to relational constraints
 x_j + b_ij <= x_i and box constraints g <= x <= h.
 
-Everything in this module is stated and computed in ordinary arithmetic;
-:func:`to_general_problem` exposes the equivalent max-plus instance so the
-two solution paths can be checked against each other.
+Everything in this module is stated and computed in ordinary arithmetic.
+:func:`to_general_problem` gives the equivalent max-plus instance, which
+the CLI solves; :func:`solve_location` is the independent check of that.
 """
 
 from __future__ import annotations

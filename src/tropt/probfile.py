@@ -13,8 +13,9 @@ min-plus respectively, and absent constraint entries).  Example:
     }
 
 A location file replaces p/q with "points" and "weights" and is always
-max-plus.  Numbers in reports are rendered with at most 12 significant
-digits; integral values print without a decimal point.
+max-plus.  It is solved in its general form, and its report gives the
+derived p and q after theta.  Numbers in reports are rendered with at
+most 12 significant digits; integral values print without a decimal point.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProblemFileError, TroptError
-from .location import (
-    LocationInstance,
-    LocationSolution,
-    solve_location,
-    to_general_problem,
-)
+from .location import LocationInstance, to_general_problem
 from .semifield import MAX_PLUS, SEMIFIELDS, by_tag
 from .solve import (
     InfeasibilityReport,
@@ -227,9 +223,10 @@ def load_problem(path, *, semifield_override: str | None = None) -> ParsedProble
 
 
 def solve_parsed(parsed: ParsedProblem):
-    """Dispatch to the solver matching the declared problem type."""
-    if parsed.problem_type == "location":
-        return solve_location(parsed.location)
+    """Dispatch to the solver matching the declared problem type.
+
+    A location file is solved in its general form, ``parsed.instance``.
+    """
     inst = parsed.instance
     if parsed.problem_type == "unconstrained":
         return solve_unconstrained(inst.p, inst.q)
@@ -240,8 +237,12 @@ def solve_parsed(parsed: ParsedProblem):
     return solve_general(inst.B, inst.p, inst.q, inst.g, inst.h)
 
 
-def report_dict(result) -> dict:
-    """Solution or infeasibility as a JSON-ready dict (values verbatim)."""
+def report_dict(result, parsed: ParsedProblem | None = None) -> dict:
+    """Solution or infeasibility as a JSON-ready dict (values verbatim).
+
+    When ``parsed`` is a location file, a solution's report also gives the
+    derived p and q of its general form, after theta.
+    """
     if isinstance(result, InfeasibilityReport):
         return {
             "status": "infeasible",
@@ -249,25 +250,16 @@ def report_dict(result) -> dict:
             "detail": result.detail.value,
         }
     if isinstance(result, SolutionSet):
-        return {
-            "status": "optimal",
-            "theta": result.theta.value,
-            "u_lo": result.u_lo.column_values(),
-            "u_hi": result.u_hi.column_values(),
-            "x_lo": result.x_lo.column_values(),
-            "x_hi": result.x_hi.column_values(),
-            "generator": result.generator.data,
-        }
-    if isinstance(result, LocationSolution):
-        return {
-            "status": "optimal",
-            "theta": result.theta,
-            "p": result.p,
-            "q": result.q,
-            "u_lo": result.u_lower,
-            "u_hi": result.u_upper,
-            "x_lo": result.x_lower,
-            "x_hi": result.x_upper,
-            "generator": result.closure,
-        }
+        report = {"status": "optimal", "theta": result.theta.value}
+        if parsed is not None and parsed.location is not None:
+            report["p"] = parsed.instance.p.column_values()
+            report["q"] = parsed.instance.q.column_values()
+        report.update(
+            u_lo=result.u_lo.column_values(),
+            u_hi=result.u_hi.column_values(),
+            x_lo=result.x_lo.column_values(),
+            x_hi=result.x_hi.column_values(),
+            generator=result.generator.data,
+        )
+        return report
     raise TypeError(f"cannot report {type(result).__name__}")

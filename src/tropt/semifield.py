@@ -31,6 +31,7 @@ __all__ = [
 
 _INF = float("inf")
 _TAGS = ("max-plus", "min-plus", "max-times", "min-times")
+_BUILT: dict = {}  # tag -> its one Semifield
 
 
 class Semifield:
@@ -40,7 +41,9 @@ class Semifield:
     for the sum, ``plus`` or ``times`` for the product.  ``minimize``
     selects min as the additive operation, ``times`` selects ordinary
     multiplication as the multiplicative one; zero and one follow from
-    the pair.  All operations accept floats or numpy arrays and are pure.
+    the pair.  ``Semifield(tag)``, copies and pickles return the one
+    instance of each tag, so semifields compare by identity.  All
+    operations accept floats or numpy arrays and are pure.
     The two operations are the numpy ufuncs ``add`` (max or min) and
     ``mul`` (ordinary + or x), which serve whole arrays.  Within the
     carrier the naive float operations never produce NaN: the two
@@ -51,9 +54,12 @@ class Semifield:
 
     default_eps = 1e-9
 
-    def __init__(self, tag: str):
+    def __new__(cls, tag: str):
         if tag not in _TAGS:
             raise DomainError(f"unknown semifield tag {tag!r}")
+        if tag in _BUILT:
+            return _BUILT[tag]
+        self = _BUILT[tag] = super().__new__(cls)
         self.tag = tag
         self.minimize = tag.startswith("min")
         self.times = tag.endswith("times")
@@ -61,6 +67,10 @@ class Semifield:
         self.mul = np.multiply if self.times else np.add
         self.zero = _INF if self.minimize else 0.0 if self.times else -_INF
         self.one = 1.0 if self.times else 0.0
+        return self
+
+    def __reduce__(self):
+        return (Semifield, (self.tag,))
 
     def __repr__(self):
         return f"Semifield({self.tag!r})"

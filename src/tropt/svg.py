@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .location import LocationSolution
 from .probfile import ParsedProblem, format_number as _fmt
 
 __all__ = ["render_svg"]
@@ -31,10 +30,7 @@ def render_svg(parsed: ParsedProblem, result) -> str:
         None if v is None else v.column_values() for v in (inst.p, inst.q, inst.g, inst.h)
     )
     B = None if inst.B is None else inst.B.data
-    if isinstance(result, LocationSolution):
-        x_lo, x_hi = result.x_lower, result.x_upper
-    else:
-        x_lo, x_hi = result.x_lo.column_values(), result.x_hi.column_values()
+    x_lo, x_hi = result.x_lo.column_values(), result.x_hi.column_values()
     points = () if parsed.location is None else parsed.location.points
 
     # the data bounding box: per axis, over the finite coordinates shown

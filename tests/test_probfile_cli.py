@@ -7,6 +7,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tropt as t
@@ -149,6 +150,87 @@ class TestCliSolve:
         dest = tmp_path / "report.json"
         assert main(["solve", str(PROBLEMS / "box.json"), "--out", str(dest)]) == 0
         assert json.loads(dest.read_text())["theta"] == 14
+
+
+# B, g and h meet only up to rounding: 0.1 + 0.2 - 0.3 is +5.55e-17 in floats
+ROUNDING_MEETS = {
+    "2-D box": {
+        "problem": "location", "points": [[0, 0], [2, 1]], "weights": [1, 1],
+        "B": [["-inf", 0.1], ["-inf", "-inf"]], "g": ["-inf", 0.2], "h": [0.3, 10],
+    },
+    "3-D cycle": {
+        "problem": "location", "points": [[0, 0, 0], [2, 1, 3.1]], "weights": [1, 1],
+        "B": [["-inf", 0.1, "-inf"], ["-inf", "-inf", 0.2], [-0.3, "-inf", "-inf"]],
+    },
+}
+
+
+def _inf_literals(values):
+    return [v if math.isfinite(v) else "-inf" for v in values]
+
+
+def _random_location_file(rng):
+    """An integer location document, with B, g and h each present or not."""
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    doc = {
+        "problem": "location",
+        "points": rng.integers(-6, 7, size=(m, n)).tolist(),
+        "weights": rng.integers(0, 4, size=m).tolist(),
+    }
+    if rng.random() < 0.6:
+        B = rng.integers(-6, 2, size=(n, n)).astype(float)
+        B[rng.random((n, n)) < 0.5] = -math.inf
+        doc["B"] = [_inf_literals(row) for row in B]
+    if rng.random() < 0.5:
+        g = rng.integers(-6, 4, size=n).astype(float)
+        g[rng.random(n) < 0.3] = -math.inf
+        doc["g"] = _inf_literals(g)
+    if rng.random() < 0.5:
+        doc["h"] = rng.integers(-3, 9, size=n).tolist()
+    return doc
+
+
+def _location_report(inst: t.LocationInstance) -> dict:
+    """The report of the location module's own solver, in report_dict's layout."""
+    sol = t.solve_location(inst)
+    if isinstance(sol, t.InfeasibilityReport):
+        return report_dict(sol)
+    return {
+        "status": "optimal", "theta": sol.theta, "p": sol.p, "q": sol.q,
+        "u_lo": sol.u_lower, "u_hi": sol.u_upper, "x_lo": sol.x_lower, "x_hi": sol.x_upper,
+        "generator": sol.closure,
+    }
+
+
+class TestLocationFiles:
+    """Every command answers a location file with the general solver."""
+
+    @pytest.mark.parametrize("doc", ROUNDING_MEETS.values(), ids=ROUNDING_MEETS.keys())
+    def test_constraints_that_meet_up_to_rounding_are_feasible(self, doc, tmp_path, capsys):
+        f = tmp_path / "loc.json"
+        f.write_text(json.dumps(doc))
+        assert main(["solve", str(f)]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert solved["status"] == "optimal" and solved["theta"] == 2.7
+        main(["verify", str(f)])
+        assert json.loads(capsys.readouterr().out)["solver_theta"] == solved["theta"]
+        if len(doc["points"][0]) == 2:
+            assert main(["plot", str(f)]) == 0
+            assert ET.fromstring(capsys.readouterr().out).tag.endswith("svg")
+
+    def test_solve_prints_the_location_solvers_report(self, tmp_path, capsys):
+        rng = np.random.default_rng(20)
+        f = tmp_path / "loc.json"
+        verdicts = set()
+        for k in range(200):
+            doc = _random_location_file(rng)
+            f.write_text(json.dumps(doc))
+            want = _location_report(load_problem(f).location)
+            code = main(["solve", str(f)])
+            assert capsys.readouterr().out == dump_json(want), (k, doc)
+            assert code == (1 if want["status"] == "infeasible" else 0), (k, doc)
+            verdicts.add(want.get("reason", "optimal"))
+        assert verdicts == {"optimal", "TrExceedsOne", "BoundsIncompatible"}
 
 
 class TestCliVerify:

@@ -1,6 +1,8 @@
+import copy
 import functools
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -38,7 +40,22 @@ class TestDefinitions:
             assert s.add is (np.minimum if minimize else np.maximum)
             assert s.mul is (np.multiply if times else np.add)
             assert repr(s) == f"Semifield({sf.tag!r})"
-        assert t.by_tag(sf.tag) is sf and built is not sf
+        assert t.by_tag(sf.tag) is sf and built is sf
+
+    @pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
+    def test_built_semifield_mixes_with_the_constant(self, sf):
+        built = t.Semifield(sf.tag)
+        total = t.tvector(built, [1, 2]) + t.tvector(sf, [1, 2])
+        assert total.sf is sf and total.column_values().tolist() == [1, 2]
+        p, q, g = ([2, 3], [1, 4], [1, 1])
+        mixed = t.solve_general(t.identity(built, 2), t.tvector(sf, p), t.tvector(built, q),
+                                t.tvector(sf, g))
+        alone = t.solve_general(t.identity(sf, 2), t.tvector(sf, p), t.tvector(sf, q),
+                                t.tvector(sf, g))
+        assert isinstance(mixed, t.SolutionSet) and repr(mixed) == repr(alone)
+        assert t.TropicalScalar(1.0, built) == t.TropicalScalar(1.0, sf)
+        assert copy.copy(built) is sf and copy.deepcopy(built) is sf
+        assert pickle.loads(pickle.dumps(built)) is sf
 
     @pytest.mark.parametrize("tag", ["max-min", "plus-max", "MAX-PLUS", "", None])
     def test_unknown_tag_is_rejected(self, tag):
