@@ -18,8 +18,9 @@ over row blocks whose temporary holds at most ``_BLOCK_ELEMENTS``
 elements, a fixed budget; operands that fit in one block run the
 unblocked expression.  Neither the transposed form nor the blocking
 changes the float operations on any output, so the results are
-bit-identical.  Each elimination pivot copies row k and multiplies it by
-column k in place.
+bit-identical.  The steps of :func:`walk_trace` run over the same
+blocks, with one temporary for them all.  Each elimination pivot copies
+row k and multiplies it by column k in place.
 
 The cycle test and the Kleene star come from one elimination
 (:func:`closure`).  It cuts each *heavy* pivot, one whose diagonal entry
@@ -33,7 +34,11 @@ heavy count settles it for squaring.
 
 The oracle's :func:`grid_scan` builds no point and no rank-3 temporary:
 it works from the grid's axes, with tables over one or two axes at a
-time, so its memory is a few arrays of one entry per grid point.
+time, so its memory is a flag and a value per grid point.  At n = 3 the
+flags and the values take two passes over the grid each.  The objective
+is summed in runs of consecutive terms; since numpy's maximum and minimum
+return their later operand on a tie, that grouping keeps the bits of one
+left-to-right reduction, signed zeros included.
 """
 
 from __future__ import annotations
@@ -99,15 +104,27 @@ def matmul(a, b, sf):
         out = sf.add.reduce(sf.mul(a[:, :, None], b[None, :, :]), axis=1)
     else:
         mul, reduce = sf.mul, sf.add.reduce
-        m = a.shape[0]
-        step = max(1, _BLOCK_ELEMENTS // b.size)  # rows per block, at least one
-        out = _empty((m, b.shape[1]))
-        temp = _empty((min(step, m), *b.shape))
-        for i in range(0, m, step):
-            rows = slice(i, min(i + step, m))
-            part = temp[:rows.stop - i]
-            reduce(mul(a[rows, :, None], b[None, :, :], out=part), axis=1, out=out[rows])
+        out = _empty((a.shape[0], b.shape[1]))
+        for rows, part, dest in _row_blocks(a, b, out):
+            reduce(mul(rows, b[None, :, :], out=part), axis=1, out=dest)
     return np.ascontiguousarray(out.T) if swap else out
+
+
+def _row_blocks(a, b, out):
+    """The row blocks of the product a b into ``out``.
+
+    Per block: its rows of ``a``, shaped (rows, n, 1) for the broadcast,
+    a temporary for its terms and its rows of ``out``.  A block holds as
+    many rows as fit ``_BLOCK_ELEMENTS`` temporary elements, at least one,
+    and every block shares one temporary.  A block reads only its own
+    rows of ``a``, and its terms are in the temporary before its rows of
+    ``out`` are written, so ``out`` may be ``a``.
+    """
+    m = a.shape[0]
+    step = max(1, _BLOCK_ELEMENTS // b.size)
+    temp = _empty((min(step, m), *b.shape))
+    return [(a[i:i + step, :, None], temp[:min(step, m - i)], out[i:i + step])
+            for i in range(0, m, step)]
 
 
 def product_trace(a, b, sf):
@@ -190,13 +207,21 @@ def walk_trace(a, heavy, sf):
     1..n from h.  Every walk is summed left to right, edge by edge, as
     the powers A^k = A^(k-1) A sum it.  That is |heavy| n^3 work, in place
     of the log2 n products n x n of :func:`power_factors`.
+
+    Each step runs over the row blocks of :func:`matmul`, which share one
+    temporary, and gives the bits of ``matmul(V, I + A)``.  A row of
+    V (I + A) depends only on the same row of V, so each step writes over
+    V, and the steps allocate nothing.
     """
     n = a.shape[0]
-    walks = a[heavy]
+    walks = a[heavy]  # a copy, updated in place
     if n > 1:
         step = _plus_identity(a, sf)
+        blocks = _row_blocks(walks, step, walks)
+        mul, reduce, step = sf.mul, sf.add.reduce, step[None, :, :]
         for _ in range(n - 1):
-            walks = matmul(walks, step, sf)
+            for rows, part, dest in blocks:
+                reduce(mul(rows, step, out=part), axis=1, out=dest)
     return float(sf.add.reduce(walks[range(len(heavy)), heavy]))
 
 
@@ -257,33 +282,47 @@ def grid_scan(axes, B, g, h, p, qc, sf):
 
     No point is built.  Since (+) is max or min, ``(B x)_i <= x_i`` holds
     exactly when ``b_ij x_j <= x_i`` for every j, a table over axes i and
-    j; and the objective is a sum of terms that each live on one axis.
-    The terms are summed in the order written above, so that a tie
-    between -0.0 and +0.0 resolves as in one reduction over all 2n terms.
+    j.  Each comparison is one ufunc, ``<=`` or, in the min semifields,
+    ``>=``, which is exact because negation is.  The conditions on one
+    axis (g_i, h_i and b_ii) are ANDed into a table over two axes while
+    it is small; at n = 3 the three pair tables then make two passes over
+    the grid.
+
+    The objective is a sum of 2n terms that each live on one axis.  A run
+    of n - 1 consecutive terms spans n - 1 axes, so the terms are summed
+    in such runs, in the order written above, and the runs are folded:
+    two passes over the grid at n = 3.  numpy's maximum and minimum return
+    their later operand on equal values, -0.0 and +0.0 included, so a sum
+    in that order returns the last of the terms that attain it, however
+    it is grouped: every value has the bits of one left-to-right
+    reduction over the 2n terms.
     """
     n = len(axes)
     shape = tuple(len(v) for v in axes)
-    asc = -1.0 if sf.minimize else 1.0
+    leq = np.greater_equal if sf.minimize else np.less_equal  # the semifield order
     x = [v.reshape([-1 if k == i else 1 for k in range(n)]) for i, v in enumerate(axes)]
 
-    def leq(a, b):  # a <= b in the semifield order, over the axes of both
-        return asc * a <= asc * b
-
-    # The constraints on axes i and j only (i >= j), ANDed while the
-    # tables are small; then the pairs in order of their highest axis.
-    tables = {(i, i): [np.ones(x[i].shape, dtype=np.bool_)] for i in range(n)}
+    # Conditions keyed by their axes (i, j), i >= j; each (i, i) joins the
+    # first pair on axis i, if there is one.
+    conds = {}
     for i in range(n):
         if g is not None:
-            tables[i, i].append(leq(g[i], x[i]))
+            conds.setdefault((i, i), []).append(leq(g[i], x[i]))
         if h is not None:
-            tables[i, i].append(leq(x[i], h[i]))
+            conds.setdefault((i, i), []).append(leq(x[i], h[i]))
         if B is not None:
             for j in range(n):
                 key = (max(i, j), min(i, j))
-                tables.setdefault(key, []).append(leq(sf.mul(B[i, j], x[j]), x[i]))
-    pairs = [functools.reduce(np.logical_and, tables[key]) for key in sorted(tables)]
-    feas = _fold(np.logical_and, pairs, shape)
+                conds.setdefault(key, []).append(leq(sf.mul(B[i, j], x[j]), x[i]))
+    for i in range(n):
+        pair = min((key for key in conds if i in key and key[0] > key[1]), default=None)
+        if pair and (i, i) in conds:
+            conds[pair] += conds.pop((i, i))
+    tables = [functools.reduce(np.logical_and, conds[key]) for key in sorted(conds)]
+    feas = _fold(np.logical_and, tables or [np.ones(shape, dtype=np.bool_)], shape)
 
     inv = [1.0 / v if sf.times else -v for v in x]
     terms = [sf.mul(inv[i], p[i]) for i in range(n)] + [sf.mul(qc[i], x[i]) for i in range(n)]
-    return feas, _fold(sf.add, terms, shape)
+    run = max(1, n - 1)
+    runs = [functools.reduce(sf.add, terms[k:k + run]) for k in range(0, 2 * n, run)]
+    return feas, _fold(sf.add, runs, shape)

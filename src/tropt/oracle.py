@@ -185,8 +185,8 @@ def brute_force_min(
     The grid is scanned from its axes (:func:`_kernels.grid_scan`), without
     building a point; the axes are validated, which checks every value a
     point can hold.  Memory is O(N) for N points: a feasibility flag and an
-    objective value per point, then the values and tolerance test of the
-    feasible points only.
+    objective value per point, then the values of the feasible points, and
+    the tolerance test of those near the best only (:func:`_near_best`).
 
     On the additive semifields the scan is then refined.  When every
     finite input is a multiple of 2^-k, for the least k up to
@@ -228,7 +228,7 @@ def brute_force_min(
         if fvals.size == 0:
             return None, [], 0
         best = float(fvals.max() if sf.minimize else fvals.min())
-        hit = np.flatnonzero(feas)[np.asarray(sf.eq(fvals, best, eps))]
+        hit = np.flatnonzero(feas)[_near_best(fvals, best, eps, sf)]
         index = np.unravel_index(hit, tuple(len(v) for v in axes))
         argmins = np.stack([axes[i][k] for i, k in enumerate(index)], axis=1)
         return best, list(argmins), int(fvals.size)
@@ -245,6 +245,33 @@ def brute_force_min(
     if best is None:
         return OracleResult(None, [], 0)
     return OracleResult(TropicalScalar(best, sf), argmins, count)
+
+
+def _near_best(vals, best, eps, sf):
+    """Indices of the ``vals`` that ``sf.eq`` accepts as equal to ``best``, their best.
+
+    ``sf.eq`` tests its tolerance in several passes, so one comparison
+    first keeps the band where it can accept a value: within 2 eps of
+    ``best`` in the plus semifields and within 2 eps best in the times
+    ones, on the side of ``best`` where the values lie.  ``eq`` rejects
+    every value beyond it.  In the plus semifields such a difference
+    rounds to 2 eps or more.  In the times ones, for eps <= 1/4, an
+    accepted value lies within a factor 2 of ``best``, so its difference
+    from ``best`` is exact and at most eps times the larger of the two,
+    rounded, which the rounded ``eps (2 best)`` bounds.  There is no band
+    for eps = 0, where ``eq`` is one comparison, for a looser eps, or for
+    an infinite ``best``.
+    """
+    if eps is None:
+        eps = sf.default_eps
+    if 0 < eps <= 0.25 and math.isfinite(best):
+        if sf.times:
+            bound = best - eps * (2 * best) if sf.minimize else best + eps * (2 * best)
+        else:
+            bound = best - 2 * eps if sf.minimize else best + 2 * eps
+        near = np.flatnonzero(vals >= bound if sf.minimize else vals <= bound)
+        return near[np.asarray(sf.eq(vals[near], best, eps))]
+    return np.flatnonzero(sf.eq(vals, best, eps))
 
 
 def _improving_axes(inst, grid, p, qc, v):

@@ -284,6 +284,33 @@ def test_grid_scan_variants_agree(sf):
                     f2, v2 = grid_scan_loop(X, *args)
                     assert f1.tobytes() == f2.tobytes()
                     assert v1.tobytes() == v2.tobytes()
+    # n = 3 grids whose axes hold 17 values or more, so that numpy's SIMD
+    # loops run along every axis of the folds.  Most axis values are signed
+    # zeros, and so are p and conj(q), so that many points tie between
+    # -0.0 and +0.0 (in max-times only through p and conj(q)).
+    for k in range(2):
+        values = [-0.0, 0.0, -0.0, 0.0, -1.0, 0.5, 1.5]
+        axes = [rng.choice(values, size=c) for c in rng.integers(17, 20, size=3)]
+        B = rng.integers(-6, 1, size=(3, 3)).astype(float)
+        g = rng.integers(-4, 1, size=3).astype(float)
+        h = rng.integers(0, 3, size=3).astype(float)
+        p = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, -1.0]][k])
+        qc = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]][k])
+        if sf.times:
+            axes = [np.exp(v / 8) for v in axes]
+            B, g, h = (np.exp(v / 8) for v in (B, g, h))
+            p, qc = (np.where(v == 0, 1.0 if sf.minimize else v, np.exp(v / 8)) for v in (p, qc))
+        if sf.minimize:
+            g, h = h, g
+        zeros = [v.copy() for v in (B, g, h)]
+        for v in zeros:
+            v[rng.random(v.shape) < 0.4] = sf.zero
+        X = product_points(axes)
+        for args in ((None, None, None, p, qc, sf), (B, g, h, p, qc, sf), (*zeros, p, qc, sf)):
+            f1, v1 = grid_scan(axes, *args)
+            f2, v2 = grid_scan_loop(X, *args)
+            assert f1.tobytes() == f2.tobytes()
+            assert v1.tobytes() == v2.tobytes()
 
 
 def test_grid_scan_signed_zero_tie_goes_to_the_later_term():
@@ -297,6 +324,80 @@ def test_grid_scan_signed_zero_tie_goes_to_the_later_term():
     assert feas.tolist() == [True, True]
     assert vals.tobytes() == np.array([0.0, -0.0]).tobytes()
     assert vals.tobytes() == grid_scan_loop(product_points(axes), None, None, None, p, qc, sf)[1].tobytes()
+
+
+@pytest.mark.parametrize("op", [np.maximum, np.minimum], ids=["maximum", "minimum"])
+def test_a_tie_of_signed_zeros_goes_to_the_later_operand(op):
+    # grid_scan sums its objective in runs and folds the runs; that keeps
+    # the bits of one reduction only while a tie returns the later operand.
+    # Scalars; contiguous arrays of lengths 1 to 64 at several offsets, so
+    # that numpy's SIMD loops and their tails run, also in place; and the
+    # broadcast (a, 1, c) and (1, b, c) operands of the fold.
+    for a, b in ((0.0, -0.0), (-0.0, 0.0)):
+        assert np.signbit(op(a, b)) == np.signbit(b)
+        assert np.signbit(op(np.float64(a), np.float64(b))) == np.signbit(b)
+    rng = np.random.default_rng(70)
+    for length in range(1, 65):
+        for off_a in range(4):
+            for off_b in range(4):
+                a = np.zeros(length + off_a)[off_a:]
+                b = np.zeros(length + off_b)[off_b:]
+                a[rng.random(length) < 0.5] = -0.0
+                b[rng.random(length) < 0.5] = -0.0
+                want = np.signbit(b)
+                assert (np.signbit(op(a, b)) == want).all(), (length, off_a, off_b)
+                assert (np.signbit(op(a, b, out=a)) == want).all(), (length, off_a, off_b)
+    for a_len, b_len, c_len in ((1, 1, 1), (3, 5, 17), (2, 4, 64), (5, 3, 33)):
+        left = np.zeros((a_len, 1, c_len))
+        right = np.zeros((1, b_len, c_len))
+        left[rng.random(left.shape) < 0.5] = -0.0
+        right[rng.random(right.shape) < 0.5] = -0.0
+        want = np.broadcast_to(np.signbit(right), (a_len, b_len, c_len))
+        full = op(left, right)
+        assert (np.signbit(full) == want).all()
+        later = np.zeros((1, b_len, c_len))  # in place, as the fold's second pass runs
+        assert (np.signbit(op(full, later, out=full)) == np.signbit(later)).all()
+
+
+def test_grid_scan_memory_is_one_flag_and_one_value_per_point():
+    sf = t.MAX_TIMES
+    axes = [np.arange(1.0, 101.0)] * 3
+    B = np.array([[0.5, 0.25, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.4]])
+    g, h = np.full(3, 2.0), np.full(3, 90.0)
+    p, qc = np.array([4.0, 2.0, 1.0]), np.array([4.0, 2.0, 1.0])
+    tracemalloc.start()
+    try:
+        feas, vals = grid_scan(axes, B, g, h, p, qc, sf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feas.size == vals.size == 10**6
+    assert peak < 10 * 10**6  # the flags and values alone take 9 bytes a point
+
+
+def walk_by_products(a, heavy, sf):
+    """:func:`walk_trace` as n - 1 products from ``matmul``, each into a new array."""
+    n = a.shape[0]
+    walks = a[heavy]
+    step = a.copy()
+    np.fill_diagonal(step, sf.add(sf.one, np.diagonal(step)))
+    for _ in range(n - 1):
+        walks = matmul(walks, step, sf)
+    return sf.add.reduce(walks[range(len(heavy)), heavy])
+
+
+@over_semifields
+def test_walk_trace_by_bytes(sf):
+    # Signed zeros and ties on every step; n on both sides of the block
+    # budget, with a last row block shorter than the rest (n = 130, three
+    # rows a block) and one row a block over budget (n = 257).
+    rng = np.random.default_rng(71)
+    for n, starts in ((1, 1), (2, 2), (5, 3), (64, 5), (130, 5), (257, 2)):
+        for mix in range(3):
+            a = _tie_operands(rng, sf, n, n, n, mix)[0]
+            heavy = sorted(rng.choice(n, size=starts, replace=False).tolist())
+            got = np.float64(walk_trace(a, heavy, sf))
+            assert got.tobytes() == np.float64(walk_by_products(a, heavy, sf)).tobytes(), (n, mix)
 
 
 @over_semifields

@@ -105,9 +105,10 @@ def test_large_integers_stay_distinct(sf, big):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Record each elimination (shape, diverged) and each product's operand shapes."""
-    calls = {"closure": [], "matmul": []}
-    closure, matmul = _kernels.closure, _kernels.matmul
+    """Record each elimination (shape, diverged), each product's operand
+    shapes and each walk's heavy pivots and shape."""
+    calls = {"closure": [], "matmul": [], "walk": []}
+    closure, matmul, walk_trace = _kernels.closure, _kernels.matmul, _kernels.walk_trace
 
     def counting_closure(a, sf):
         out = closure(a, sf)
@@ -118,8 +119,13 @@ def counted(monkeypatch):
         calls["matmul"].append((a.shape, b.shape))
         return matmul(a, b, sf)
 
+    def counting_walk_trace(a, heavy, sf):
+        calls["walk"].append((list(heavy), a.shape))
+        return walk_trace(a, heavy, sf)
+
     monkeypatch.setattr(_kernels, "closure", counting_closure)
     monkeypatch.setattr(_kernels, "matmul", counting_matmul)
+    monkeypatch.setattr(_kernels, "walk_trace", counting_walk_trace)
     return calls
 
 
@@ -178,8 +184,8 @@ def test_infeasible_solve_walks_from_the_heavy_pivot(counted, monkeypatch):
     assert report.reason is t.InfeasibleReason.TR_EXCEEDS_ONE
     assert report.detail.value == ref
     assert counted["closure"] == [((n, n), True)]
-    assert ((n, n), (n, n)) not in counted["matmul"]
-    assert counted["matmul"] == [((1, n), (n, n))] * (n - 1)
+    assert counted["matmul"] == []
+    assert counted["walk"] == [([max(cycle)], (n, n))]
 
 
 def test_detail_walks_from_every_heavy_pivot(counted):
@@ -200,10 +206,12 @@ def test_detail_walks_from_every_heavy_pivot(counted):
     ref = power_trace_loop(B)
     assert ref == 96
     counted["matmul"].clear()
+    counted["walk"].clear()
     zero = t.tvector(t.MAX_PLUS, [0] * n)
     report = t.solve_general(B, zero, zero)
     assert report.detail.value == ref
-    assert counted["matmul"] == [((2, n), (n, n))] * (n - 1)
+    assert counted["matmul"] == []
+    assert counted["walk"] == [([10, 40], (n, n))]
 
 
 def _walk_loop(a, starts):

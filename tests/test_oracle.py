@@ -356,4 +356,58 @@ def test_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert res.argmins
-    assert peak < 28e6  # 23 MB measured; one N x n x n broadcast of the grid takes 237 MB
+    assert peak < 18e6  # 14 MB measured; one N x n x n broadcast of the grid takes 237 MB
+
+
+SEMIFIELDS = [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES]
+
+
+@pytest.mark.parametrize("sf", SEMIFIELDS, ids=lambda sf: sf.tag)
+def test_argmins_near_the_best_are_those_eq_accepts(sf, monkeypatch):
+    # Values at eps, 2 eps and just beyond from the best, on the side where
+    # the values lie (above it in the max semifields), in the semifield's
+    # units.  Only the band's values reach sf.eq, and the argmins are the
+    # values sf.eq accepts among all of them.
+    from tropt.oracle import _near_best
+    eps, best = 2.0**-20, 3.0  # every value below is exact
+    side = -1.0 if sf.minimize else 1.0
+    scale = best if sf.times else 1.0
+    bound = best + side * 2 * eps * scale
+    beyond = np.nextafter(bound, side * np.inf)
+    vals = np.array([best + side * 4 * eps * scale, best, best + side * eps * scale / 2,
+                     best + side * eps * scale, bound, beyond, best + side, best])
+    seen = []
+    eq = type(sf).eq
+
+    def counting_eq(self, a, b, e=None):
+        seen.append(np.size(a))
+        return eq(self, a, b, e)
+
+    monkeypatch.setattr(type(sf), "eq", counting_eq)
+    hit = _near_best(vals, best, eps, sf)
+    monkeypatch.undo()
+    assert seen == [5]  # best twice, eps / 2, eps and 2 eps
+    assert hit.tolist() == np.flatnonzero(sf.eq(vals, best, eps)).tolist()
+    assert hit.tolist()[:3] == [1, 2, 3] and hit.tolist()[-1] == 7
+    assert 4 not in hit.tolist()  # 2 eps away: in the band, but not equal
+
+
+@pytest.mark.parametrize("sf", SEMIFIELDS, ids=lambda sf: sf.tag)
+def test_argmins_near_the_best_match_eq_on_random_values(sf):
+    # Tolerances from a few ulps up to 1/4, and eps = 0 and above 1/4 with
+    # no band; values a few ulps, a fraction of eps and up to 3 eps from
+    # the best, on its side.
+    from tropt.oracle import _near_best
+    rng = np.random.default_rng(72)
+    side = -1.0 if sf.minimize else 1.0
+    for eps in (0.0, 3e-16, 1e-12, 1e-9, 1e-3, 0.1, 0.25, 0.3, 0.6):
+        for _ in range(20):
+            best = float(rng.uniform(0.01, 100) if sf.times else rng.uniform(-100, 100))
+            scale = best if sf.times else 1.0
+            ulps = best + side * np.abs(best) * 2.0**-52 * rng.integers(0, 8, size=20)
+            near = best + side * eps * scale * rng.uniform(0, 3, size=40)
+            far = best + side * scale * rng.uniform(0, 0.9, size=20)
+            vals = np.concatenate([ulps, near, far, [best]])
+            rng.shuffle(vals)
+            want = np.flatnonzero(sf.eq(vals, best, eps))
+            assert _near_best(vals, best, eps, sf).tolist() == want.tolist(), eps
