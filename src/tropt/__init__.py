@@ -6,7 +6,7 @@ Library layout:
 * :mod:`tropt.linalg`    -- matrices/vectors, Kleene star, cycle test, conjugation;
 * :mod:`tropt.systems`   -- closed-form solutions of the linear inequalities;
 * :mod:`tropt.solve`     -- the four minimax solvers;
-* :mod:`tropt.oracle`    -- brute-force grid verification;
+* :mod:`tropt.oracle`    -- verification by a grid scan and by exact difference constraints;
 * :mod:`tropt.location`  -- minimax Chebyshev facility location;
 * :mod:`tropt.probfile`  -- JSON problem files and reports;
 * :mod:`tropt.svg`       -- deterministic SVG plots;
@@ -31,7 +31,7 @@ from .location import (
     solve_location,
     to_general_problem,
 )
-from .oracle import GridSpec, OracleResult, brute_force_min, default_grid
+from .oracle import GridSpec, OracleResult, brute_force_min, default_grid, exact_min
 from .semifield import (
     MAX_PLUS,
     MAX_TIMES,

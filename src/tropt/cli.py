@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from .errors import TroptError
+from .errors import DomainError, GridGuardError, TroptError
 from .linalg import tmatrix
-from .oracle import GridSpec, brute_force_min, default_grid
+from .oracle import GridSpec, _finite_data, brute_force_min, default_grid, exact_min
 from .probfile import dump_json, format_number, load_problem, report_dict, solve_parsed
 from .semifield import SEMIFIELDS
 from .solve import InfeasibilityReport, contains
@@ -47,13 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a problem file and report the solution")
     common(p_solve)
 
-    p_verify = sub.add_parser("verify", help="cross-check the solver against the grid oracle")
+    p_verify = sub.add_parser("verify", help="cross-check the solver against an oracle")
     common(p_verify)
     p_verify.add_argument("--epsilon", type=float, default=None,
                           help="comparison tolerance: absolute in max-plus/min-plus, relative "
                                "in max-times/min-times; 0 is exact (default: 1e-9; "
                                "env TROPT_EPSILON)")
-    p_verify.add_argument("--grid-step", type=float, default=0.5)
+    p_verify.add_argument("--grid-step", type=float, help="grid step (default: 0.5)")
     p_verify.add_argument("--grid-lo", help="comma-separated lower grid bounds")
     p_verify.add_argument("--grid-hi", help="comma-separated upper grid bounds")
 
@@ -104,43 +104,73 @@ def _cmd_solve(args) -> int:
     return 1 if isinstance(result, InfeasibilityReport) else 0
 
 
+def _grid(args, inst) -> GridSpec | None:
+    """The grid that ``verify`` scans, or None to ask :func:`exact_min`.
+
+    A ``--grid-*`` option or a times semifield takes the grid, and so
+    does integer data at n <= 3 whose default grid passes the guard: the
+    grid is exact there.  Every other file goes to the exact oracle.
+    """
+    lo = _parse_bound(args.grid_lo, inst.n, "--grid-lo")
+    hi = _parse_bound(args.grid_hi, inst.n, "--grid-hi")
+    if (lo is None) != (hi is None):
+        raise TroptError("--grid-lo and --grid-hi must be given together")
+    step = 0.5 if args.grid_step is None else args.grid_step
+    if lo is not None:
+        return GridSpec(lo, hi, step)
+    if args.grid_step is not None or inst.sf.times:
+        return default_grid(inst, step)
+    if inst.n <= 3 and (_finite_data(inst) % 1 == 0).all():
+        try:
+            return default_grid(inst)
+        except GridGuardError:
+            pass
+    return None
+
+
 def _cmd_verify(args) -> int:
     parsed = load_problem(args.file, semifield_override=args.semifield)
     eps = _epsilon(args)
     inst = parsed.instance
     result = solve_parsed(parsed)
-
-    lo = _parse_bound(args.grid_lo, inst.n, "--grid-lo")
-    hi = _parse_bound(args.grid_hi, inst.n, "--grid-hi")
-    if (lo is None) != (hi is None):
-        raise TroptError("--grid-lo and --grid-hi must be given together")
-    grid = GridSpec(lo, hi, args.grid_step) if lo is not None else default_grid(
-        inst, step=args.grid_step
-    )
-    oracle = brute_force_min(inst, grid, eps=eps)
-
-    report: dict = {"status": None, "grid_points": grid.point_count()}
-    code = 1
+    grid = _grid(args, inst)
+    if grid is None:
+        try:
+            oracle = exact_min(inst)
+        except DomainError:  # data too wide once scaled: the default grid answers
+            grid = default_grid(inst)
+    if grid is None:
+        report: dict = {"status": None, "oracle": "exact"}
+    else:
+        oracle = brute_force_min(inst, grid, eps=eps)
+        report = {"status": None, "grid_points": grid.point_count()}
     if isinstance(result, InfeasibilityReport):
         report["solver"] = report_dict(result)
-        report["oracle_feasible_points"] = oracle.feasible_count
         agree = oracle.empty
+        if grid is not None:
+            report["oracle_feasible_points"] = oracle.feasible_count
+        found = (f"theta = {oracle.min_value.value}" if grid is None and not agree
+                 else f"{oracle.feasible_count} feasible points")
         report["status"] = "agree" if agree else "disagree"
         report["summary"] = (
-            "agree: infeasible" if agree
-            else f"disagree: solver infeasible but oracle found {oracle.feasible_count} feasible points"
+            "agree: infeasible" if agree else f"disagree: solver infeasible but oracle found {found}"
         )
         code = 1
     else:
         theta = result.theta
         agree = (not oracle.empty) and oracle.min_value.eq(theta, eps)
-        members = agree and contains(
-            result, inst, tmatrix(inst.sf, np.transpose(oracle.argmins)), eps
-        )
         report["solver_theta"] = theta.value
         report["oracle_min"] = None if oracle.empty else oracle.min_value.value
-        report["argmin_count"] = len(oracle.argmins)
-        report["argmins_contained"] = members
+        if grid is None:  # the ends may hold the semifield zero, which contains rejects
+            ends = np.concatenate((result.x_lo.data, result.x_hi.data), axis=1)
+            members = agree and bool(inst.sf.eq(np.transpose(oracle.argmins), ends, eps).all())
+            report["ends_agree"] = members
+        else:
+            members = agree and contains(
+                result, inst, tmatrix(inst.sf, np.transpose(oracle.argmins)), eps
+            )
+            report["argmin_count"] = len(oracle.argmins)
+            report["argmins_contained"] = members
         ok = agree and members
         report["status"] = "agree" if ok else "disagree"
         report["summary"] = (

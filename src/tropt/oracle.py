@@ -1,18 +1,12 @@
-"""Brute-force verification of solver results on small instances.
+"""Independent verification of solver results, by two oracles that share
+no formulas with the closed-form solvers.
 
-The oracle evaluates the objective at every point of a finite grid that
-satisfies the constraints, and returns the best value with all attaining
-grid points.  It shares no formulas with the closed-form solvers, so an
-agreement between the two is meaningful evidence.
-
-The default grid step is 1/2: the closed-form optimum involves a square
-root that halves an integer, so for integer instances the optimizers lie
-on the half-integer lattice and the oracle is exact, not approximate.
-Data that are all multiples of 2^-k put the optimizers on the lattice of
-step 2^-(k+1) in the same way.  When that lattice is finer than a grid
-of step 1/2 or less, the oracle scans it as well, wherever a point could
-beat the best point of the grid (see :func:`brute_force_min`).  A coarser
-grid is approximate by choice and is scanned as it is.
+:func:`brute_force_min` evaluates the objective at every feasible point
+of a finite grid, and returns the best value with all attaining points.
+Its default step 1/2 is exact on integer instances: the closed-form
+optimum halves an integer, so the optimizers lie on the half-integer
+lattice.  Any other grid is scanned as it is.  :func:`exact_min` solves
+a max-plus or min-plus instance at any n as difference constraints.
 """
 
 from __future__ import annotations
@@ -27,12 +21,9 @@ from .errors import DomainError, GridGuardError
 from .solve import ProblemInstance
 from .semifield import TropicalScalar
 
-__all__ = ["GridSpec", "OracleResult", "default_grid", "brute_force_min"]
+__all__ = ["GridSpec", "OracleResult", "default_grid", "brute_force_min", "exact_min"]
 
 MAX_POINTS = 10**6
-# Data need at most this many binary digits after the point for the
-# oracle to scan their finer lattice; real-valued data need ~50.
-MAX_FRACTION_BITS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +88,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best objective over the feasible grid, or empty when none is feasible."""
+    """The best objective value and its argmins, or empty when nothing is feasible.
+
+    From :func:`brute_force_min`, the argmins are every attaining grid
+    point and ``feasible_count`` counts the feasible ones.  From
+    :func:`exact_min`, they are the least and the greatest optimizer, and
+    the count is 0.
+    """
 
     min_value: TropicalScalar | None
     argmins: list = field(default_factory=list)
@@ -114,20 +111,15 @@ def default_grid(inst: ProblemInstance, step: float = 0.5) -> GridSpec:
     Bounded dimensions use [g, h] directly.  Unbounded ones get symmetric
     padding derived from the magnitudes of all finite inputs: the optimum
     never exceeds twice the largest magnitude D, so every optimizer
-    coordinate lies within 3D of the origin.  When the data's lattice is
-    finer than the step (see :func:`brute_force_min`), the padding 3D + 1
-    is rounded up to a multiple of the step, so that those dimensions
-    hold multiples of the step, as they do for integer data.  Only the
-    additive semifields have a natural real grid; pass an explicit
-    GridSpec for the multiplicative ones.
+    coordinate lies within 3D of the origin.  Only the additive
+    semifields have a natural real grid; pass an explicit GridSpec for
+    the multiplicative ones.
     """
     if inst.sf.times:
         raise DomainError("no default grid for multiplicative semifields; pass a GridSpec")
     finite = _finite_data(inst)
     d = float(np.abs(finite).max()) if finite.size else 1.0
     pad = 3.0 * d + 1.0
-    if pad % step and _fine_step(finite, step) is not None:
-        pad = step * float(np.ceil(pad / step))
     lower = np.full(inst.n, -pad)
     upper = np.full(inst.n, pad)
     if inst.g is not None:
@@ -149,27 +141,9 @@ def default_grid(inst: ProblemInstance, step: float = 0.5) -> GridSpec:
 
 def _finite_data(inst):
     """The finite entries of p, q, g, h and B, flattened."""
-    pools = [inst.p.data, inst.q.data]
-    if inst.g is not None:
-        pools.append(inst.g.data)
-    if inst.h is not None:
-        pools.append(inst.h.data)
-    if inst.B is not None:
-        pools.append(inst.B.data)
-    finite = np.concatenate([p.reshape(-1) for p in pools])
+    parts = (inst.p, inst.q, inst.g, inst.h, inst.B)
+    finite = np.concatenate([v.data.reshape(-1) for v in parts if v is not None])
     return finite[np.isfinite(finite)]
-
-
-def _fine_step(values, step):
-    """2^-(k+1) for the least k at which every value is a multiple of
-    2^-k, when that is finer than ``step``; None past ``MAX_FRACTION_BITS``.
-
-    A float's ratio has a power of two for its denominator: 2^k for the
-    least such k.
-    """
-    k = max((x.as_integer_ratio()[1] for x in values.tolist()), default=1).bit_length() - 1
-    fine = 2.0 ** -(k + 1)
-    return fine if k <= MAX_FRACTION_BITS and fine < step else None
 
 
 def brute_force_min(
@@ -187,24 +161,6 @@ def brute_force_min(
     point can hold.  Memory is O(N) for N points: a feasibility flag and an
     objective value per point, then the values of the feasible points, and
     the tolerance test of those near the best only (:func:`_near_best`).
-
-    On the additive semifields the scan is then refined.  When every
-    finite input is a multiple of 2^-k, for the least k up to
-    ``MAX_FRACTION_BITS``, the optimizers lie on the lattice of multiples
-    of 2^-(k+1); if that is finer than the grid's step, and the step is at
-    most 1/2 (the step that is exact on integer data), it is scanned too,
-    within the grid's bounds, where a point could beat the grid's best
-    value v.  Such a point beats v in each objective term, which bounds
-    every coordinate to an open interval: ``p_i - x_i < v`` and
-    ``x_i - q_i < v`` in max-plus, reversed in min-plus.  When the fine
-    lattice's best value beats v beyond the tolerance, its minimum and
-    argmins are the result; otherwise the grid's own are.  The grid's
-    feasible count is reported either way.  A refinement that would hold
-    more than ``MAX_POINTS`` points is not made, and the grid's answer
-    stands, as it does for data with no such lattice.  With no feasible
-    grid point, v is the top of the order, so the whole box is scanned on
-    the fine lattice, and its minimum, argmins and feasible count are the
-    result.  Integer data on a step-1/2 grid need no refinement.
     """
     sf = inst.sf
     if inst.n > 3:
@@ -220,31 +176,18 @@ def brute_force_min(
     qc = inst.q.conj().data.reshape(-1)
     p = inst.p.data.reshape(-1)
 
-    def scan(axes):  # (best, argmins, feasible count), best None when none is feasible
-        sf.validate(np.concatenate(axes))
-        feas, vals = _kernels.grid_scan(axes, B, g, h, p, qc, sf)
-        fvals = vals[feas]
-        del vals
-        if fvals.size == 0:
-            return None, [], 0
-        best = float(fvals.max() if sf.minimize else fvals.min())
-        hit = np.flatnonzero(feas)[_near_best(fvals, best, eps, sf)]
-        index = np.unravel_index(hit, tuple(len(v) for v in axes))
-        argmins = np.stack([axes[i][k] for i, k in enumerate(index)], axis=1)
-        return best, list(argmins), int(fvals.size)
-
-    best, argmins, count = scan([grid.axis(i) for i in range(inst.n)])
-    if not sf.times and grid.step <= 0.5 and (best is None or math.isfinite(best)):
-        axes = _improving_axes(inst, grid, p, qc, -sf.zero if best is None else best)
-        if axes is not None:
-            fine_best, fine_argmins, fine_count = scan(axes)
-            if best is None:
-                best, argmins, count = fine_best, fine_argmins, fine_count
-            elif fine_best is not None and not sf.eq(fine_best, best, eps):
-                best, argmins = fine_best, fine_argmins
-    if best is None:
+    axes = [grid.axis(i) for i in range(inst.n)]
+    sf.validate(np.concatenate(axes))
+    feas, vals = _kernels.grid_scan(axes, B, g, h, p, qc, sf)
+    fvals = vals[feas]
+    del vals
+    if fvals.size == 0:
         return OracleResult(None, [], 0)
-    return OracleResult(TropicalScalar(best, sf), argmins, count)
+    best = float(fvals.max() if sf.minimize else fvals.min())
+    hit = np.flatnonzero(feas)[_near_best(fvals, best, eps, sf)]
+    index = np.unravel_index(hit, tuple(len(v) for v in axes))
+    argmins = np.stack([axes[i][k] for i, k in enumerate(index)], axis=1)
+    return OracleResult(TropicalScalar(best, sf), list(argmins), int(fvals.size))
 
 
 def _near_best(vals, best, eps, sf):
@@ -274,35 +217,71 @@ def _near_best(vals, best, eps, sf):
     return np.flatnonzero(sf.eq(vals, best, eps))
 
 
-def _improving_axes(inst, grid, p, qc, v):
-    """Per axis, the points of the data's fine lattice within the grid's
-    bounds at which both objective terms beat v.
+def exact_min(inst: ProblemInstance) -> OracleResult:
+    """The exact optimum of a max-plus or min-plus instance, at any n.
 
-    The terms of coordinate i are ``p_i - x_i`` and ``x_i + qc_i``.  Each
-    is monotone in x_i, so both beat v (are less in max-plus, greater in
-    min-plus) on the open interval between ``p_i - v`` and ``v - qc_i``.
-    The lattice is the multiples of :func:`_fine_step`'s step.  None when
-    an interval is empty, as no point can then beat v, when the data have
-    no lattice finer than the grid, or when the box of the intervals would
-    hold more than ``MAX_POINTS`` of its points.
+    Every condition is a difference constraint on x and a node n with
+    ``x_n = 0`` (Cormen et al., *Introduction to Algorithms*, §24.4).  In
+    max-plus, objective <= t and g <= x <= h give the edges n -> i of weight
+    ``min(q_i + t, h_i)`` and i -> n of weight ``min(t - p_i, -g_i)``, and
+    ``b_ij + x_j <= x_i`` the edge i -> j of weight ``-b_ij``.  Theta is the
+    least t with no negative cycle.  A simple cycle holds at most two t
+    edges, so with the data scaled by a power of two to even integers,
+    theta is an integer, found by bisection.  At theta the distances from
+    node n are the greatest optimizer, and minus those to it the least:
+    the argmins ``x_lo`` and ``x_hi``.  An infeasible instance has a
+    negative cycle at every t, and an empty result.  Min-plus runs on the
+    negated data.  Raises DomainError for the times semifields and for
+    data whose scaled sums could leave the integers a float64 holds.
     """
-    sf = inst.sf
-    lo, hi = (v - qc, p - v) if sf.minimize else (p - v, v - qc)  # lo may be -inf, hi +inf
-    if not (lo < hi).all():  # the usual case once the grid attains the optimum
-        return None
-    fine = _fine_step(_finite_data(inst), grid.step)
-    if fine is None:
-        return None
-    first = np.ceil(np.maximum(grid.lower, lo) / fine)
-    last = np.floor(np.minimum(grid.upper, hi) / fine)
-    if not (first <= last).all() or np.prod(last - first + 1) > MAX_POINTS:
-        return None
-    beats = np.greater if sf.minimize else np.less
-    axes = []
-    for i in range(len(first)):
-        axis = fine * np.arange(first[i], last[i] + 1)
-        axis = axis[beats(p[i] - axis, v) & beats(axis + qc[i], v)]
-        if axis.size == 0:
+    sf, n = inst.sf, inst.n
+    if sf.times:
+        raise DomainError(f"exact_min supports max-plus and min-plus, got {sf.tag}")
+    finite = _finite_data(inst)
+    e = max((x.as_integer_ratio()[1] for x in finite.tolist()), default=1).bit_length()
+    with np.errstate(over="ignore"):
+        m = float(np.ldexp(np.abs(finite).max(initial=0.0), e))  # the largest scaled magnitude
+    if not (n + 2) ** 2 * m <= 2.0**53:
+        raise DomainError(f"data too wide for an exact oracle: scaled by 2^{e} they reach {m:.3g}")
+    s = -1.0 if sf.minimize else 1.0  # p, q, g, h and w: max-plus values in units of 2^-e
+    p, q, g, h = (np.full(n, absent) if v is None else np.ldexp(s * v.data.reshape(-1), e)
+                  for v, absent in ((inst.p, 0), (inst.q, 0), (inst.g, -np.inf), (inst.h, np.inf)))
+    if not ((q > -np.inf).all() and (p > -np.inf).any() and (h > -np.inf).all()):
+        raise DomainError("exact_min needs p non-zero and q and h regular")
+    w = np.full((n + 1, n + 1), np.inf)
+    if inst.B is not None:
+        w[:n, :n] = -np.ldexp(s * inst.B.data, e)
+
+    def distances(t):  # from node n at the integer t, or None on a negative cycle
+        w[n, :n] = np.minimum(q + t, h)
+        w[:n, n] = np.minimum(t - p, -g)
+        return _shortest(w, n)
+
+    hi = (n + 1) * int(m)  # no simple cycle's root lies above it
+    if distances(hi) is None:
+        return OracleResult(None)
+    lo = int(np.max((p - q)[p > -np.inf])) // 2  # 2 t >= p_i - q_i
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if distances(mid) is None else (lo, mid)
+    x_hi = np.ldexp(s * distances(lo)[:n], -e)
+    x_lo = np.ldexp(-s * _shortest(w.T, n)[:n], -e)
+    return OracleResult(TropicalScalar(float(np.ldexp(s * lo, -e)), sf), [x_lo, x_hi])
+
+
+def _shortest(w, source):
+    """Bellman-Ford from ``source`` over the edges u -> v of weight ``w[u, v]``:
+    the distances, or None on a reachable negative cycle.  Each pass relaxes
+    every edge; a pass past the longest simple path changes them only on a
+    negative cycle, and one through the source shows sooner, below 0 there.
+    """
+    d = np.full(len(w), np.inf)
+    d[source] = 0.0
+    for _ in range(len(w)):
+        nxt = np.minimum(d, (d[:, None] + w).min(axis=0))
+        if nxt[source] < 0:
             return None
-        axes.append(axis)
-    return axes
+        if np.array_equal(nxt, d):
+            return d
+        d = nxt
+    return None

@@ -166,21 +166,11 @@ class Semifield:
         max(|a|, |b|) in the times ones.  An infinity is close to nothing;
         the callers have already accepted exact equality.
         """
-        # Whole oracle grids pass through here, so the work arrays are
-        # updated in place: fresh temporaries cost more than the arithmetic.
-        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-        diff = np.empty(shape)
         with np.errstate(invalid="ignore"):
-            np.subtract(a, b, out=diff)  # NaN or inf wherever an infinity is involved
-        np.abs(diff, out=diff)
+            diff = np.abs(np.subtract(a, b))  # NaN or inf wherever an infinity is involved
         if not self.times:
             return diff <= eps
-        tol = np.abs(a, out=np.empty(shape))
-        np.maximum(tol, np.abs(b), out=tol)
-        tol *= eps
-        near = diff <= tol
-        near &= np.isfinite(diff)
-        return near
+        return (diff <= eps * np.maximum(np.abs(a), np.abs(b))) & np.isfinite(diff)
 
     # -- construction ---------------------------------------------------
 

@@ -164,119 +164,91 @@ class TestBruteForce:
 
 class TestDyadicData:
     """Data that are multiples of 2^-k put the optimizers on the lattice of
-    step 2^-(k+1); the oracle scans it where it is finer than the grid."""
-
-    @pytest.mark.parametrize("values, step, fine", [
-        ([3, -7, 0], 0.5, None),
-        ([3, -7.5, 0], 0.5, 0.25),
-        ([0.75, 2], 0.5, 0.125),
-        ([2**-8, 1], 0.5, 2**-9),
-        ([2**-9, 1], 0.5, None),
-        ([0.3, 1], 0.5, None),
-        ([3, -7.5], 0.25, None),
-        ([3, -7], 1.0, 0.5),
-    ])
-    def test_fine_step_follows_the_data(self, values, step, fine):
-        from tropt.oracle import _finite_data, _fine_step
-        inst = t.problem(t.MAX_PLUS, values, values)
-        assert _fine_step(_finite_data(inst), step) == fine
+    step 2^-(k+1).  A grid is scanned as it is given; ``exact_min`` finds
+    the optimum on any such lattice."""
 
     def test_half_integer_optimum_off_the_half_grid(self, mp):
-        # The optimum -0.75 is at x = -0.25: off the step-1/2 grid, where
-        # the best value is -0.5.  Explicit grids are refined as well, on
-        # the multiples of 1/4 whatever their lower bound.
+        # The optimum -0.75 is at x = -0.25: off the step-1/2 grid, whose
+        # best value is -0.5, and on the step-1/4 grid.
         inst = t.problem(mp, [-1], [0.5])
-        assert _point_wise(inst, t.GridSpec([-4.0], [4.0]))[0] == -0.5
-        # a grid coarser than 1/2 is scanned as it is
-        assert t.brute_force_min(inst, t.GridSpec([-4.0], [4.0], 1.0)).min_value.value == -0.5
-        for grid in (None, t.GridSpec([-4.0], [4.0]), t.GridSpec([-3.9], [4.0])):
-            res = t.brute_force_min(inst, grid)
-            assert res.min_value == t.solve_instance(inst).theta == mp.scalar(-0.75)
-            assert [a.tolist() for a in res.argmins] == [[-0.25]]
+        assert t.brute_force_min(inst).min_value.value == -0.5
+        res = t.brute_force_min(inst, t.GridSpec([-4.0], [4.0]))
+        assert res.min_value.value == -0.5
+        assert [a.tolist() for a in res.argmins] == [[-0.5], [0.0]]
+        res = t.brute_force_min(inst, t.GridSpec([-4.0], [4.0], 0.25))
+        assert res.min_value == t.solve_instance(inst).theta == mp.scalar(-0.75)
+        assert [a.tolist() for a in res.argmins] == [[-0.25]]
+        exact = t.exact_min(inst)
+        assert exact.min_value == mp.scalar(-0.75)
+        assert [a.tolist() for a in exact.argmins] == [[-0.25], [-0.25]]
 
     @pytest.mark.parametrize("sf", [t.MAX_PLUS, t.MIN_PLUS], ids=lambda sf: sf.tag)
-    def test_refinement_matches_the_full_fine_scan(self, sf):
+    def test_exact_min_matches_the_full_fine_scan(self, sf):
         # Multiples of 1/2 and 1/4, n = 1-3, with and without B, g and h.
-        # The refined scan finds the solver's theta.  At n <= 2 that is the
-        # minimum of a scan of every point of the fine lattice.  Its argmins are those
-        # of the step-1/2 grid when that grid attains the minimum, and
-        # those of the fine lattice otherwise.
-        from tropt.oracle import _finite_data, _fine_step
+        # exact_min finds the solver's theta and ends.  At n <= 2 theta is
+        # also the minimum of a scan of every point of the fine lattice in
+        # the default grid's box, and both ends are among its argmins.
         rng = np.random.default_rng(77)
         s = -1.0 if sf.minimize else 1.0
-        refined = 0
+        scanned = 0
         for k in range(60):
             n = int(rng.integers(1, 4))
             raw = random_feasible_instance(rng, n, with_box=k % 2 == 0, mixed_B=k % 3 == 0)
             scale = 2.0 if k % 4 else 4.0
             raw = {key: None if v is None else s * np.asarray(v) / scale for key, v in raw.items()}
             inst = as_instance(sf, raw)
-            grid = t.default_grid(inst)
-            fine = _fine_step(_finite_data(inst), grid.step)
-            assert fine in (0.25, 0.125, None)
-            res = t.brute_force_min(inst)
             sol = t.solve_instance(inst)
+            res = t.exact_min(inst)
             assert res.min_value == sol.theta
-            assert t.contains(sol, inst, t.tmatrix(sf, np.transpose(res.argmins)))
-            if fine is None or n == 3:  # the full fine grid of n = 3 trips the guard
+            ends = [sol.x_lo.column_values(), sol.x_hi.column_values()]
+            assert np.array_equal(res.argmins, ends)
+            if n == 3:  # the full fine grid of n = 3 trips the guard
                 continue
-            full = t.brute_force_min(inst, t.GridSpec(grid.lower, grid.upper, fine))
-            coarse, coarse_argmins, coarse_count = _point_wise(inst, grid)
-            assert res.min_value == full.min_value
-            assert res.feasible_count == coarse_count
-            if coarse == full.min_value.value:
-                assert np.array_equal(res.argmins, coarse_argmins)
-            else:
-                refined += 1
-                assert np.array_equal(res.argmins, full.argmins)
-        assert refined > 5
+            fine = 1 / (2 * scale)
+            grid = t.default_grid(inst)
+            lower, upper = np.floor(grid.lower / fine) * fine, np.ceil(grid.upper / fine) * fine
+            full = t.brute_force_min(inst, t.GridSpec(lower, upper, fine))
+            assert full.min_value == res.min_value
+            found = {tuple(a) for a in full.argmins}
+            assert all(tuple(end) in found for end in res.argmins)
+            scanned += 1
+        assert scanned > 30
 
-    def test_refinement_too_large_keeps_the_grid_answer(self):
+    def test_exact_min_on_the_lattice_of_2_to_the_minus_9(self):
         # x0 >= x1 + 3 moves the optimum off the objective's own minimum,
         # and the slack entry -10 + 2^-8 puts the data on the lattice of
-        # 2^-9.  The box where a point could beat theta = 1.5 holds about
-        # 1537^2 points of it, past the guard; the step-1/2 grid already
-        # attains theta, and its answer stands.  The grid's padding, 3 D + 1
-        # for the largest magnitude D, is rounded up to a multiple of 1/2
-        # to hold it.
+        # 2^-9.  The step-1/2 grid on whole bounds attains theta = 1.5.
         mp = t.MAX_PLUS
         inst = t.problem(mp, [0, 0], [0, 0], B=[[-np.inf, 3], [-10 + 2**-8, -np.inf]])
-        assert t.default_grid(inst) == t.GridSpec(np.full(2, -31.0), np.full(2, 31.0))
-        res = t.brute_force_min(inst)
-        assert res.min_value == t.solve_instance(inst).theta == mp.scalar(1.5)
-        best, argmins, count = _point_wise(inst, t.default_grid(inst))
-        assert np.array_equal(res.argmins, argmins) and res.feasible_count == count
+        sol = t.solve_instance(inst)
+        res = t.exact_min(inst)
+        assert res.min_value == sol.theta == mp.scalar(1.5)
+        assert np.array_equal(res.argmins, [sol.x_lo.column_values(), sol.x_hi.column_values()])
+        grid = t.brute_force_min(inst, t.GridSpec(np.full(2, -31.0), np.full(2, 31.0)))
+        assert grid.min_value == sol.theta
+        for a in grid.argmins:
+            assert t.contains(sol, inst, t.tvector(mp, a))
 
-    def test_no_feasible_grid_point_scans_the_box_on_the_fine_lattice(self, mp):
+    def test_exact_min_when_no_half_grid_point_is_feasible(self, mp):
         # x_0 >= x_1 + 1/8 cuts off the origin, the one point of the
-        # step-1/2 grid in [0, 1/4]^2; on the lattice of 1/16 the box holds
-        # 25 points.  An infeasible instance stays empty.
+        # step-1/2 grid in [0, 1/4]^2, so the grid is empty.  The optimum
+        # 1/8 is attained at (1/8, 0) alone, a point of the lattice of 1/16.
+        # An infeasible instance gives an empty result.
         inst = t.problem(mp, [0, 0], [0, 0], g=[0, 0], h=[0.25, 0.25],
                          B=[[-np.inf, 0.125], [-np.inf, -np.inf]])
         grid = t.default_grid(inst)
         assert grid.points().tolist() == [[0.0, 0.0]]
-        res = t.brute_force_min(inst)
+        assert t.brute_force_min(inst).empty
+        res = t.exact_min(inst)
         assert res.min_value == t.solve_instance(inst).theta == mp.scalar(0.125)
-        assert [a.tolist() for a in res.argmins] == [[0.125, 0.0]]
+        assert [a.tolist() for a in res.argmins] == [[0.125, 0.0]] * 2
         full = t.brute_force_min(inst, t.GridSpec(grid.lower, grid.upper, 1 / 16))
-        assert res.min_value == full.min_value and res.feasible_count == full.feasible_count == 6
-        assert np.array_equal(res.argmins, full.argmins)
+        assert full.min_value == res.min_value and full.feasible_count == 6
+        assert [a.tolist() for a in full.argmins] == [[0.125, 0.0]]
         inst = t.problem(mp, [0, 0], [0, 0], g=[0.125, 0], h=[0.25, 0.25],
                          B=[[-np.inf, -np.inf], [0.25, -np.inf]])
-        assert t.brute_force_min(inst).empty
-
-    def test_improving_axes_are_multiples_of_the_fine_step(self, mp):
-        from tropt.oracle import _improving_axes
-        zero = np.zeros(2)
-        grid = t.GridSpec(np.full(2, -100.3), np.full(2, 100.0), 0.5)
-        inst = t.problem(mp, zero, zero, B=[[-np.inf, 2**-8], [-np.inf, -np.inf]])  # lattice 2^-9
-        assert _improving_axes(inst, grid, zero, zero, 90.0) is None  # past the guard
-        assert _improving_axes(inst, grid, zero, zero, 0.0) is None
-        assert [a.tolist() for a in _improving_axes(inst, grid, zero, zero, 2**-9)] == [[0.0]] * 2
-        inst = t.problem(mp, zero, [0.5, 0])  # lattice 1/4
-        assert [a.tolist() for a in _improving_axes(inst, grid, zero, zero, 0.6)] == \
-            [[-0.5, -0.25, 0.0, 0.25, 0.5]] * 2
-        assert _improving_axes(inst, t.GridSpec(zero, np.ones(2), 0.25), zero, zero, 0.6) is None
+        assert isinstance(t.solve_instance(inst), t.InfeasibilityReport)
+        assert t.exact_min(inst).empty
 
 
 def grid_scan_rows(X, B, g, h, p, qc, sf):

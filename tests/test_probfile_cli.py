@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -282,13 +283,19 @@ class TestCliVerify:
         assert out["status"] == "agree"
         assert out["oracle_min"] == out["solver_theta"] == theta
 
-    def test_verify_refines_an_explicit_half_grid(self, tmp_path, capsys):
+    def test_verify_scans_an_explicit_half_grid_as_given(self, tmp_path, capsys):
+        # The optimum -0.75 lies off the half grid; with the grid given,
+        # verify reports that grid's best value.  Without it, the file's
+        # half-integer data go to the exact oracle.
         f = tmp_path / "half.json"
         f.write_text(json.dumps({"problem": "unconstrained", "semifield": "max-plus",
                                  "p": [-1], "q": [0.5]}))
         code = main(["verify", str(f), "--grid-lo=-4", "--grid-hi=4"])
         out = json.loads(capsys.readouterr().out)
-        assert code == 0 and out["oracle_min"] == -0.75
+        assert code == 1 and out["oracle_min"] == -0.5 and out["solver_theta"] == -0.75
+        assert main(["verify", str(f)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["oracle"] == "exact" and out["oracle_min"] == -0.75
 
     def test_verify_keeps_the_grid_answer_past_the_refinement_guard(self, tmp_path, capsys):
         # The data need the lattice of 2^-9, too fine to scan around the
@@ -340,6 +347,86 @@ class TestCliVerify:
         found = doc["oracle_feasible_points"]
         assert found > 0
         assert doc["summary"] == f"disagree: solver infeasible but oracle found {found} feasible points"
+
+    @pytest.mark.parametrize("doc, theta", [
+        ({"problem": "unconstrained", "p": [9, 0, 0], "q": [0, 0, 0]}, 4.5),
+        ({"problem": "general", "p": [3, 1, 0, 2], "q": [-1, 0, 2, 1],
+          "g": [-3, "-inf", -2, -4], "h": [5, 4, 6, 3],
+          "B": [[0, -2, "-inf", -1], [-3, 0, -1, "-inf"], ["-inf", -2, 0, -3],
+                [-1, "-inf", -2, 0]]}, 2),
+        ({"problem": "general", "p": [0.5, "-inf"], "q": [0, 0]}, 0.25),
+    ], ids=["grid-past-the-guard", "n4", "x_lo-holds-minus-inf"])
+    def test_verify_agrees_through_the_exact_oracle(self, doc, theta, tmp_path, capsys):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc))
+        code = main(["verify", str(f)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0, out
+        assert out == {"status": "agree", "oracle": "exact", "solver_theta": theta,
+                       "oracle_min": theta, "ends_agree": True,
+                       "summary": f"agree: theta = {theta}"}
+
+    def test_verify_agrees_at_n_64(self, tmp_path, capsys):
+        rng = np.random.default_rng(64)
+        x = rng.integers(-20, 21, 64).astype(float)
+        B = np.subtract.outer(x, x) - rng.integers(0, 30, (64, 64))
+        doc = {"problem": "general", "p": (x + rng.integers(0, 9, 64)).tolist(),
+               "q": (x - rng.integers(0, 9, 64)).tolist(), "B": B.tolist(),
+               "g": (x - 5).tolist(), "h": (x + 5).tolist()}
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc))
+        code = main(["verify", str(f)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["status"] == "agree" and out["oracle"] == "exact", out
+        doc["B"][3][3] = 1  # a loop above one
+        f.write_text(json.dumps(doc))
+        assert main(["verify", str(f)]) == 1
+        assert json.loads(capsys.readouterr().out)["summary"] == "agree: infeasible"
+
+    def test_verify_agrees_on_a_planted_cycle_at_n_4(self, tmp_path, capsys):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({
+            "problem": "general", "p": [3, 1, 0, 2], "q": [-1, 0, 2, 1],
+            "B": [["-inf", 1, "-inf", "-inf"], ["-inf", "-inf", 0, "-inf"],
+                  [0, "-inf", "-inf", -1], [-1, "-inf", -2, "-inf"]],
+        }))
+        code = main(["verify", str(f)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out == {"status": "agree", "oracle": "exact",
+                       "solver": {"status": "infeasible", "reason": "TrExceedsOne", "detail": 1},
+                       "summary": "agree: infeasible"}
+
+    @pytest.mark.parametrize("name", ROUNDING_MEETS.keys())
+    def test_verify_keeps_the_default_grid_for_data_too_wide_to_scale(self, name, tmp_path,
+                                                                    capsys):
+        # 0.1, 0.2 and 0.3 scaled to integers pass 2^53, so the default grid
+        # answers; it holds no feasible point (FOUND in CHANGES.md).
+        f = tmp_path / "loc.json"
+        f.write_text(json.dumps(ROUNDING_MEETS[name]))
+        assert main(["verify", str(f)]) == 1
+        grid_points, summary = {"2-D box": (1260, 2.7),
+                                "3-D cycle": (157464, 2.6999999999999997)}[name]
+        assert capsys.readouterr().out == dump_json({
+            "status": "disagree", "grid_points": grid_points, "solver_theta": 2.7,
+            "oracle_min": None, "argmin_count": 0, "argmins_contained": False,
+            "summary": f"disagree: solver theta = {summary}, oracle = None"})
+
+    def test_verify_reports_an_exact_disagreement(self, monkeypatch, tmp_path, capsys):
+        f = tmp_path / "half.json"
+        f.write_text(json.dumps({"problem": "unconstrained", "p": [-1], "q": [0.5]}))
+        wrong = t.InfeasibilityReport(t.InfeasibleReason.BOUNDS_INCOMPATIBLE, t.MAX_PLUS.scalar(1))
+        monkeypatch.setattr("tropt.cli.solve_parsed", lambda parsed: wrong)
+        assert main(["verify", str(f)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"] == "disagree: solver infeasible but oracle found theta = -0.75"
+        sol = t.solve_instance(t.problem(t.MAX_PLUS, [-1], [0.5]))
+        shifted = dataclasses.replace(sol, x_hi=t.tvector(t.MAX_PLUS, [0]))
+        monkeypatch.setattr("tropt.cli.solve_parsed", lambda parsed: shifted)
+        assert main(["verify", str(f)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "disagree" and doc["ends_agree"] is False
+        assert doc["oracle_min"] == doc["solver_theta"] == -0.75
 
     @pytest.mark.parametrize("bounds, message", [
         (["--grid-lo=a,b", "--grid-hi=6,8"], "--grid-lo: expected comma-separated numbers, got 'a,b'"),
