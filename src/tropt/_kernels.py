@@ -1,44 +1,17 @@
-"""Numeric inner kernels: tropical products, closure, walks, powers of I + A and the grid scan.
+"""Numeric inner kernels: tropical products, the cycle test and Kleene star, and the grid scan.
 
 The kernels work on raw float64 encodings and take the semifield ``sf``
-whose operations they apply: every product is ``sf.mul`` and every sum
-``sf.add`` (or its ``reduce`` form), so each operation is written once for
-all four semifields.  Within a semifield carrier the naive float
-operations are exact: opposite infinities never meet, so no NaN can
-appear.  The semifield is tested only for the direction of its order and,
-in the grid scan, for the form of the inverse.
+whose operations they apply, so each operation is written once for all
+four semifields.  Within a semifield carrier the naive float operations
+are exact: opposite infinities never meet, so no NaN can appear.  Every
+loop runs numpy's innermost loop along a contiguous axis; :func:`matmul`
+says how, and why the bits do not depend on it.
 
-Each loop is laid out so that numpy's innermost loop runs along a
-contiguous axis, with at most one operand broadcast along it.  A product
-broadcasts a rank-3 temporary, the terms a_ik b_kj over (i, k, j), and
-reduces it over the middle axis k, in the order 0 .. n-1.  Its innermost
-loop runs along j, so a narrow right factor (1 < l < m) runs as
-(b^T a^T)^T, whose innermost loop runs along i instead.  ``matmul`` runs
-over row blocks whose temporary holds at most ``_BLOCK_ELEMENTS``
-elements, a fixed budget; operands that fit in one block run the
-unblocked expression.  Neither the transposed form nor the blocking
-changes the float operations on any output, so the results are
-bit-identical.  The steps of :func:`walk_trace` run over the same
-blocks, with one temporary for them all.  Each elimination pivot copies
-row k and multiplies it by column k in place.
-
-The cycle test and the Kleene star come from one elimination
-(:func:`closure`).  It cuts each *heavy* pivot, one whose diagonal entry
-exceeds one, out of the graph and goes on, so that every cycle above one
-passes through a heavy pivot.  The power trace of a divergent matrix is
-then the heaviest closed walk from the heavy pivots (:func:`walk_trace`,
-|H| n^3), or, when that costs more, the trace of (I + A)^n from
-:func:`power_factors` (about log2 n products n x n).  The elimination
-weighs the two routes by their element counts and stops as soon as the
-heavy count settles it for squaring.
-
-The oracle's :func:`grid_scan` builds no point and no rank-3 temporary:
-it works from the grid's axes, with tables over one or two axes at a
-time, so its memory is a flag and a value per grid point.  At n = 3 the
-flags and the values take two passes over the grid each.  The objective
-is summed in runs of consecutive terms; since numpy's maximum and minimum
-return their later operand on a tie, that grouping keeps the bits of one
-left-to-right reduction, signed zeros included.
+:func:`star_and_trace` owns the cycle test: one elimination
+(:func:`closure`) gives the star or the heavy pivots, the cheaper route
+gives the power trace (:func:`walk_trace` or :func:`power_factors`), and
+the trace is compared with one.  :func:`grid_scan` is the oracle's scan;
+it builds no point.
 """
 
 from __future__ import annotations
@@ -48,7 +21,8 @@ import math
 
 import numpy as np
 
-__all__ = ["matmul", "product_trace", "closure", "walk_trace", "power_factors", "grid_scan"]
+__all__ = ["matmul", "product_trace", "closure", "star_and_trace", "star", "walk_trace",
+           "power_factors", "grid_scan"]
 
 
 # Elements of the broadcast temporary per row block: 512 KB of float64.
@@ -179,6 +153,59 @@ def closure(a, sf):
     if (diag < one).any() if minimize else (diag > one).any():
         return None, None
     return d, []
+
+
+def star_and_trace(a, sf):
+    """``(star, power trace)`` of a square array, with None for the star when a cycle exceeds one.
+
+    The one place where the cycle test compares the power trace with one,
+    within the default tolerance.  When :func:`closure` converges the star
+    is I plus its closure and the trace is Tr(A A*), in O(n^2).  When it
+    diverges, the trace is read on the route it picked, walks from the
+    heavy pivots or the trace of (I + A)^n; a trace within the tolerance
+    of one passes, with the star from squaring.
+    """
+    plus, heavy = closure(a, sf)
+    bstar = None if plus is None else _add_identity(plus, sf)
+    if bstar is not None:
+        trace = product_trace(a, bstar, sf)
+    elif heavy is not None:
+        trace = walk_trace(a, heavy, sf)
+    else:
+        trace = product_trace(*power_factors(a, a.shape[0], sf), sf)
+    if not sf.leq(trace, sf.one):
+        return None, trace
+    return (_squared_star(a, sf) if bstar is None else bstar), trace
+
+
+def star(a, sf):
+    """Kleene star of a square array, the sum of its powers 0..n-1, with no cycle test.
+
+    I plus the closure when :func:`closure` converges, the powers from n
+    on adding nothing; otherwise (I + A)^(n-1) by squaring.
+    """
+    plus, _ = closure(a, sf)
+    return _squared_star(a, sf) if plus is None else _add_identity(plus, sf)
+
+
+def _add_identity(plus, sf):
+    """I + ``plus``, written over ``plus``, the work array of :func:`closure`.
+
+    First the zero everywhere, which changes no value but makes a
+    max-times -0.0 a +0.0 as the sum with I does, then the one on the
+    diagonal.
+    """
+    sf.add(plus, sf.zero, out=plus)
+    np.fill_diagonal(plus, sf.add(np.diagonal(plus), sf.one))
+    return plus
+
+
+def _squared_star(a, sf):
+    """(I + A)^(n-1), in an idempotent semiring the sum of the powers 0..n-1."""
+    n = a.shape[0]
+    if n > 2:
+        return matmul(*power_factors(a, n - 1, sf), sf)
+    return _plus_identity(a, sf) if n == 2 else np.full((1, 1), sf.one)
 
 
 def _walk_is_cheaper(heavy, n, rest):

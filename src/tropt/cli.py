@@ -196,11 +196,14 @@ def _cmd_plot(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_plot(args)
+        # An overflow or NaN in the times semifields' arithmetic is caught
+        # by the carrier checks, which name it; numpy need not warn as well.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "solve":
+                return _cmd_solve(args)
+            if args.command == "verify":
+                return _cmd_verify(args)
+            return _cmd_plot(args)
     except (TroptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 A :class:`TropicalMatrix` pairs a read-only float64 array with its
 semifield.  Vectors are matrices with a single column (or a single row,
 as produced by conjugation and row-vector products).  All operations are
-pure and return new matrices.
+pure and return new matrices; the arithmetic is in :mod:`tropt._kernels`.
 """
 
 from __future__ import annotations
@@ -105,80 +105,16 @@ class TropicalMatrix:
     def power_trace(self) -> TropicalScalar:
         """Combined trace of the powers 1..n: the heaviest closed walk of length <= n.
 
-        At most one when every cycle weight is at most one; above one exactly
-        when the matrix carries a cycle whose weight exceeds the semifield one.
-        One elimination runs.  When it converges the value is the trace of
-        A A*, by A (A^0 + ... + A^(n-1)) = A + ... + A^n, read in O(n^2) as
-        the sum over i, k of a_ik a*_ki.  When it diverges, every cycle above
-        one passes through one of its heavy pivots, so the value is the
-        heaviest closed walk from those, summed left to right as the powers
-        sum it.  When squaring costs less, as for small n or many heavy
-        pivots, it is read from (I + A)^n instead, which is one plus the
-        power trace: the power trace itself whenever that exceeds one.
+        Above one exactly when some cycle weighs more than the semifield
+        one.  See :func:`tropt._kernels.star_and_trace` for how it is read.
         """
         self._require_square("power_trace")
-        return TropicalScalar(self._star_and_power_trace()[1], self.sf)
+        return TropicalScalar(_kernels.star_and_trace(self.data, self.sf)[1], self.sf)
 
     def star(self) -> "TropicalMatrix":
-        """Kleene star: the sum of powers 0..n-1.
-
-        When no cycle exceeds the semifield one, this is I plus the
-        plus-closure from one O(n^3) Carre/Floyd-Warshall elimination: the
-        powers from n on add nothing.  Otherwise the closure diverges and
-        the sum comes from binary exponentiation of I + A: in an idempotent
-        semiring (I + A)^k is exactly the sum of powers 0..k, so raising to
-        the exponent n-1 reproduces the definition in O(n^3 log n).  The
-        solvers take this divergent case only for a cycle that exceeds one
-        by no more than the default tolerance, that is by rounding.
-        """
+        """Kleene star: the sum of powers 0..n-1 (:func:`tropt._kernels.star`)."""
         self._require_square("star")
-        plus, _ = _kernels.closure(self.data, self.sf)
-        return TropicalMatrix(self.sf, self._star_from(plus), _trusted=True)
-
-    def _star_and_power_trace(self):
-        """``(star data, power trace)``, with None for the star when a cycle exceeds one.
-
-        The one place where the cycle test compares the power trace with
-        one.  One elimination decides.  When it converges the star is I
-        plus its closure.  When it diverges the elimination has also picked
-        the cheaper route to the power trace by their costs, from the heavy
-        count and n: walks from the heavy pivots (|H| n^3) or the trace of
-        (I + A)^n (about log2 n products n x n).  A value within the default
-        tolerance of one passes the test up to rounding, with the star from
-        squaring.
-        """
-        sf = self.sf
-        plus, heavy = _kernels.closure(self.data, sf)
-        if plus is not None:
-            star = self._star_from(plus)
-            trace = _kernels.product_trace(self.data, star, sf)
-        elif heavy is not None:
-            star, trace = None, _kernels.walk_trace(self.data, heavy, sf)
-        else:
-            factors = _kernels.power_factors(self.data, self.rows, sf)
-            star, trace = None, _kernels.product_trace(*factors, sf)
-        if not sf.leq(trace, sf.one):
-            return None, trace
-        return (self._star_from(None) if star is None else star), trace
-
-    def _star_from(self, plus) -> np.ndarray:
-        """I plus the plus-closure, or (I + A)^(n-1) when the closure diverged.
-
-        The closure is the elimination's own work array, which nothing else
-        holds, so I is added to it in place: the zero everywhere, which
-        changes no value but makes a max-times -0.0 a +0.0 as the sum with
-        I does, then the one on the diagonal.
-        """
-        sf, n = self.sf, self.rows
-        if plus is not None:
-            sf.add(plus, sf.zero, out=plus)
-            np.fill_diagonal(plus, sf.add(np.diagonal(plus), sf.one))
-            return plus
-        eye = _identity_data(sf, n)
-        if n < 3:  # the exponent n - 1 is 0 or 1
-            return eye if n == 1 else sf.add(eye, self.data)
-        factors = _kernels.power_factors(self.data, n - 1, sf)
-        return _kernels.matmul(*factors, sf)
+        return TropicalMatrix(self.sf, _kernels.star(self.data, self.sf), _trusted=True)
 
     def conj(self) -> "TropicalMatrix":
         """Multiplicative conjugate transpose of a vector.
@@ -259,10 +195,6 @@ def zeros(sf: Semifield, rows: int, cols: int = 1) -> TropicalMatrix:
 
 
 def identity(sf: Semifield, n: int) -> TropicalMatrix:
-    return TropicalMatrix(sf, _identity_data(sf, n), _trusted=True)
-
-
-def _identity_data(sf: Semifield, n: int) -> np.ndarray:
     arr = np.full((n, n), sf.zero)
     np.fill_diagonal(arr, sf.one)
-    return arr
+    return TropicalMatrix(sf, arr, _trusted=True)

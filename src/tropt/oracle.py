@@ -56,7 +56,7 @@ class GridSpec:
         # overflows, or a tiny step, gives an infinite count.
         with np.errstate(over="ignore"):
             counts = np.floor((upper - lower) / self.step + 1e-9) + 1
-        total = float(np.prod(counts))
+            total = float(np.prod(counts))
         if not total <= MAX_POINTS:
             raise GridGuardError(
                 f"grid would hold {total:.15g} points (limit {MAX_POINTS}); "

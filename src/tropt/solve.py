@@ -195,7 +195,7 @@ def _solve(B, p, q, g, h) -> SolutionSet | InfeasibilityReport:
     if B is None:
         gen = bstar = None
     else:
-        bstar, trace = B._star_and_power_trace()
+        bstar, trace = _kernels.star_and_trace(B.data, sf)
         if bstar is None:
             return InfeasibilityReport(InfeasibleReason.TR_EXCEEDS_ONE, sf.scalar(trace))
         gen = TropicalMatrix(sf, bstar, _trusted=True)

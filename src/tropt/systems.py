@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _kernels
 from .errors import DimensionError, DomainError
 from .linalg import TropicalMatrix
 from .semifield import TropicalScalar
@@ -64,13 +65,13 @@ def solve_ax_plus_b_le_x(A: TropicalMatrix, b: TropicalMatrix) -> ConeSolution |
 
     Feasible exactly when power_trace(A) is at most the semifield one; the
     solutions then form the cone {A* u : u >= b}.  One elimination decides
-    (see :meth:`TropicalMatrix.power_trace`), and A* comes with the verdict.
+    (:func:`tropt._kernels.star_and_trace`), and A* comes with the verdict.
     """
     if not A.is_square:
         raise DimensionError(f"A must be square, got {A.shape}")
     if not b.is_column or b.rows != A.rows:
         raise DimensionError(f"incompatible shapes: A {A.shape}, b {b.shape}")
-    star, trace = A._star_and_power_trace()
+    star, trace = _kernels.star_and_trace(A.data, A.sf)
     if star is None:
         return Infeasible(TropicalScalar(trace, A.sf))
     return ConeSolution(TropicalMatrix(A.sf, star, _trusted=True), b)

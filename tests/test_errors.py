@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tropt as t
-from tropt.errors import DomainError
+from tropt.errors import DimensionError, DomainError, SemifieldMismatchError
 
 NAN, INF = float("nan"), float("inf")
 
@@ -78,6 +78,37 @@ def test_solver_preconditions_are_named(sf):
         with pytest.raises(DomainError) as info:
             call()
         assert type(info.value) is DomainError
+        assert str(info.value) == message
+
+
+def test_shape_and_semifield_guards_are_named():
+    sf, other = t.MAX_PLUS, t.MIN_PLUS
+    good, row = t.tvector(sf, [0, 0]), t.tmatrix(sf, [[0, 0]])
+    wide = t.tmatrix(sf, [[0, -1, -1], [-1, 0, -1]])
+    cases = [
+        (lambda: t.ProblemInstance(sf, row, good), DimensionError, "p must be a column vector"),
+        (lambda: t.ProblemInstance(sf, good, t.tvector(other, [0, 0])),
+         SemifieldMismatchError, "q has semifield min-plus"),
+        (lambda: t.ProblemInstance(sf, good, good, B=t.tmatrix(other, [[0, 0], [0, 0]])),
+         SemifieldMismatchError, "B has semifield min-plus"),
+        (lambda: t.ProblemInstance(sf, good, good, B=wide), DimensionError,
+         "B must be 2x2, got (2, 3)"),
+        (lambda: t.solve_general(wide, good, good), DimensionError, "B must be 2x2, got (2, 3)"),
+        (wide.power_trace, DimensionError, "power_trace requires a square matrix, got (2, 3)"),
+        (wide.star, DimensionError, "star requires a square matrix, got (2, 3)"),
+        (lambda: t.exact_min(t.problem(sf, [-INF, -INF], [0, 0])), DomainError,
+         "exact_min needs p non-zero and q and h regular"),
+        (lambda: t.exact_min(t.ProblemInstance(sf, good, good, h=t.tvector(sf, [0, -INF]))),
+         DomainError, "exact_min needs p non-zero and q and h regular"),
+        (lambda: t.GridSpec(np.zeros(2), np.ones(3)), DomainError,
+         "grid bounds must be flat vectors of equal length"),
+        (lambda: t.GridSpec(np.zeros((2, 1)), np.ones((2, 1))), DomainError,
+         "grid bounds must be flat vectors of equal length"),
+    ]
+    for call, kind, message in cases:
+        with pytest.raises(kind) as info:
+            call()
+        assert type(info.value) is kind
         assert str(info.value) == message
 
 

@@ -269,6 +269,68 @@ class TestCrossSemifield:
                     assert math.isclose(theta, ref, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def _exp_draw(rng, n, kind):
+    """Integer max-plus data, feasible unless ``kind`` plants a cycle above one or crosses a bound.
+
+    B's entries lie in [-10, -1], some absent, so every cycle of it is
+    negative until one is planted; g <= 0 <= h keeps conj(h) B* g at most
+    one until g_i is raised above h_i.
+    """
+    B = None
+    if kind == "cycle" or rng.random() < 0.8:
+        B = rng.integers(-10, 0, size=(n, n)).astype(float)
+        B[rng.random((n, n)) < 0.3] = -np.inf
+    if kind == "cycle":
+        cycle = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        w = rng.integers(-6, 7, size=cycle.size).astype(float)
+        w[0] += int(rng.integers(1, 4)) - w.sum()
+        B[cycle, np.roll(cycle, -1)] = w
+    g = h = None
+    if kind == "bound" or rng.random() < 0.7:
+        g = rng.integers(-10, 1, size=n).astype(float)
+        h = rng.integers(0, 11, size=n).astype(float)
+    if kind == "bound":
+        i = int(rng.integers(n))
+        g[i] = h[i] + int(rng.integers(1, 4))
+    p = rng.integers(-10, 11, size=n).astype(float)
+    q = rng.integers(-10, 11, size=n).astype(float)
+    return dict(B=B, p=p, q=q, g=g, h=h)
+
+
+@pytest.mark.parametrize("plus, times", [(t.MAX_PLUS, t.MAX_TIMES), (t.MIN_PLUS, t.MIN_TIMES)],
+                         ids=["max", "min"])
+def test_exp_maps_plus_solutions_onto_times_solutions(plus, times):
+    # v -> 2**v maps integer plus data onto times data exactly, and maps
+    # every sum, product, inverse and exact square root of the closed form
+    # with it, so both sides take the same route through the cycle test and
+    # agree to the bit wherever theta is an integer.  A half-integer theta
+    # has no exact square root in the times semifield: there the verdicts
+    # and the membership of the ends are compared.
+    rng = np.random.default_rng(39)
+    outcomes = collections.Counter()
+    for n in (2, 3, 4, 5, 8, 13, 24, 40, 64):
+        for kind in ("feasible", "cycle", "bound") * 20:
+            raw = _exp_draw(rng, n, kind)
+            insts = [_translate(raw, plus), _translate(raw, times, pow2=True)]
+            lhs, rhs = (t.solve_instance(inst) for inst in insts)
+            assert type(lhs) is type(rhs)
+            if isinstance(lhs, t.InfeasibilityReport):
+                assert lhs.reason is rhs.reason
+                assert np.exp2(lhs.detail.value) == rhs.detail.value
+                outcomes[lhs.reason] += 1
+                continue
+            outcomes["exact" if lhs.theta.value.is_integer() else "half"] += 1
+            if lhs.theta.value.is_integer():
+                assert np.exp2(lhs.theta.value) == rhs.theta.value
+                for name in ("generator", "u_lo", "u_hi", "x_lo", "x_hi"):
+                    got, want = getattr(rhs, name).data, np.exp2(getattr(lhs, name).data)
+                    assert np.array_equal(got, want), name
+            for sol, inst in zip((lhs, rhs), insts):
+                for end in (sol.x_lo, sol.x_hi):
+                    assert not end.is_regular() or t.contains(sol, inst, end)
+    assert outcomes.keys() == {"exact", "half", *t.InfeasibleReason}
+
+
 def test_membership_disagreement_raises(worked, mp):
     inst = t.ProblemInstance(mp, worked["p"], worked["q"])
     sol = t.solve_unconstrained(worked["p"], worked["q"])
