@@ -11,7 +11,8 @@ says how, and why the bits do not depend on it.
 (:func:`closure`) gives the star or the heavy pivots, the cheaper route
 gives the power trace (:func:`walk_trace` or :func:`power_factors`), and
 the trace is compared with one.  :func:`grid_scan` is the oracle's scan;
-it builds no point.
+it builds no point, and :func:`nth_true` finds the grid indices of the
+argmins among its flags.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 __all__ = ["matmul", "product_trace", "closure", "star_and_trace", "star", "walk_trace",
-           "power_factors", "grid_scan"]
+           "power_factors", "grid_scan", "nth_true"]
 
 
 # Elements of the broadcast temporary per row block: 512 KB of float64.
@@ -297,7 +298,7 @@ def _fold(op, terms, shape):
 
 
 def grid_scan(axes, B, g, h, p, qc, sf):
-    """Feasibility and objective value of every point of the product grid.
+    """Feasibility of every point of the product grid, and the objective at the feasible ones.
 
     ``axes`` holds the n grid axes; the grid's points are all x with x_i in
     ``axes[i]``.  A point is feasible when ``B x <= x`` (semifield order)
@@ -305,7 +306,9 @@ def grid_scan(axes, B, g, h, p, qc, sf):
     constraint.  The objective is ``(+)_i inv(x_i) p_i (+) (+)_i qc_i x_i``,
     where qc is the conjugate of q.  Comparisons are exact (eps = 0);
     callers apply their tolerance policy when post-processing the values.
-    Both results are flat, in lexicographic (C) order of the points.
+    Returns ``(feas, vals)``: ``feas`` is flat over every point, and
+    ``vals`` holds the objective at the feasible points only; both are in
+    lexicographic (C) order of the points.
 
     No point is built.  Since (+) is max or min, ``(B x)_i <= x_i`` holds
     exactly when ``b_ij x_j <= x_i`` for every j, a table over axes i and
@@ -313,16 +316,30 @@ def grid_scan(axes, B, g, h, p, qc, sf):
     ``>=``, which is exact because negation is.  The conditions on one
     axis (g_i, h_i and b_ii) are ANDed into a table over two axes while
     it is small; at n = 3 the three pair tables then make two passes over
-    the grid.
+    the box below.
+
+    A point outside the box of :func:`_box` fails some table, so the flags
+    and the objective are computed over that box only, from sliced views
+    of the axes and the tables, and every point outside it is infeasible.
+    Finding the box costs about 16 kernel calls, more than one pass over a
+    grid of fewer than ``16 * _CALL_ELEMENTS`` points, so such grids are
+    scanned whole.
 
     The objective is a sum of 2n terms that each live on one axis.  A run
     of n - 1 consecutive terms spans n - 1 axes, so the terms are summed
     in such runs, in the order written above, and the runs are folded:
-    two passes over the grid at n = 3.  numpy's maximum and minimum return
+    two passes over the box at n = 3.  numpy's maximum and minimum return
     their later operand on equal values, -0.0 and +0.0 included, so a sum
     in that order returns the last of the terms that attain it, however
     it is grouped: every value has the bits of one left-to-right
     reduction over the 2n terms.
+
+    A box of more than ``128 * _CALL_ELEMENTS`` points is summed in slabs
+    of whole rows of its first axis, each of at most that many points
+    where a row allows, and each slab's feasible values are copied into
+    ``vals`` before the next is summed.  The memory the values take is
+    then a value per feasible point plus two per slab point, whatever the
+    box; a slab's dozen kernel calls cost under an eighth of its pass.
     """
     n = len(axes)
     shape = tuple(len(v) for v in axes)
@@ -345,11 +362,88 @@ def grid_scan(axes, B, g, h, p, qc, sf):
         pair = min((key for key in conds if i in key and key[0] > key[1]), default=None)
         if pair and (i, i) in conds:
             conds[pair] += conds.pop((i, i))
-    tables = [functools.reduce(np.logical_and, conds[key]) for key in sorted(conds)]
-    feas = _fold(np.logical_and, tables or [np.ones(shape, dtype=np.bool_)], shape)
+    tables = {key: functools.reduce(np.logical_and, conds[key]) for key in sorted(conds)}
+
+    inner, size = shape, math.prod(shape)
+    if tables and size >= 16 * _CALL_ELEMENTS:
+        box = _box(tables, shape)
+        if box is None:
+            return np.zeros(size, dtype=np.bool_), np.empty(0)
+        inner = tuple(s.stop - s.start for s in box)
+        if inner != shape:
+            x = [_cut(v, box) for v in x]
+            tables = {key: _cut(v, box) for key, v in tables.items()}
+    flags = _fold(np.logical_and, list(tables.values()) or [np.ones(inner, dtype=np.bool_)], inner)
 
     inv = [1.0 / v if sf.times else -v for v in x]
     terms = [sf.mul(inv[i], p[i]) for i in range(n)] + [sf.mul(qc[i], x[i]) for i in range(n)]
     run = max(1, n - 1)
     runs = [functools.reduce(sf.add, terms[k:k + run]) for k in range(0, 2 * n, run)]
-    return feas, _fold(sf.add, runs, shape)
+    rows = max(1, 128 * _CALL_ELEMENTS * inner[0] // math.prod(inner))
+    if rows >= inner[0]:
+        vals = _fold(sf.add, runs, inner)[flags]
+    else:
+        vals, at = np.empty(np.count_nonzero(flags)), 0
+        for a in range(0, inner[0], rows):
+            part = flags.reshape(inner)[a:a + rows]
+            k = np.count_nonzero(part)
+            vals[at:at + k] = _fold(sf.add, [r[a:a + rows] if len(r) > 1 else r for r in runs],
+                                    part.shape)[part.ravel()]
+            at += k
+    if inner == shape:
+        return flags, vals
+    feas = np.zeros(shape, dtype=np.bool_)
+    feas[box] = flags.reshape(inner)
+    return feas.ravel(), vals
+
+
+def nth_true(flags, ranks):
+    """``np.flatnonzero(flags)[ranks]`` for sorted ``ranks``, without an index for every true flag.
+
+    More than ``128 * _CALL_ELEMENTS`` flags, the size of a slab of
+    :func:`grid_scan`, are counted in chunks of that many, and only the
+    chunks that hold a wanted rank are indexed.
+    """
+    step = 128 * _CALL_ELEMENTS
+    if len(flags) <= step:
+        return np.flatnonzero(flags)[ranks]
+    out, seen = [], 0
+    for start in range(0, len(flags), step):
+        chunk = flags[start:start + step]
+        count = np.count_nonzero(chunk)
+        want = ranks[(ranks >= seen) & (ranks < seen + count)]
+        if want.size:
+            out.append(start + np.flatnonzero(chunk)[want - seen])
+        seen += count
+    return np.concatenate(out) if out else ranks
+
+
+def _box(tables, shape):
+    """The box of the grid that every table supports: one slice per axis, or None if empty.
+
+    ``tables`` maps the axes (i, j) of each condition table to the table.
+    An index along axis k is supported by a table on axis k when some
+    entry of the table there is true, the table's other axis reduced by
+    OR; the box keeps, per axis, the indices from the first to the last
+    that every such table supports.  This is one sweep of arc consistency
+    (Mackworth, "Consistency in networks of relations", *Artificial
+    Intelligence* 8(1), 1977): every feasible point lies in the box, and
+    when an axis has no supported index nothing is feasible.
+    """
+    box = []
+    for k, size in enumerate(shape):
+        support = [v.any(axis=i + j - k).ravel() if i != j else v.ravel()
+                   for (i, j), v in tables.items() if k in (i, j)]
+        if not support:
+            box.append(slice(0, size))
+            continue
+        hit = np.flatnonzero(functools.reduce(np.logical_and, support))
+        if hit.size == 0:
+            return None
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
+def _cut(a, box):
+    """The view of ``a`` inside ``box``; ``a`` broadcasts over the axes where its length is 1."""
+    return a[tuple(s if d > 1 else slice(None) for s, d in zip(box, a.shape))]

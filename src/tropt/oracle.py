@@ -158,9 +158,10 @@ def brute_force_min(
 
     The grid is scanned from its axes (:func:`_kernels.grid_scan`), without
     building a point; the axes are validated, which checks every value a
-    point can hold.  Memory is O(N) for N points: a feasibility flag and an
-    objective value per point, then the values of the feasible points, and
-    the tolerance test of those near the best only (:func:`_near_best`).
+    point can hold.  Memory is O(N) for N points: a feasibility flag per
+    point and a value per feasible point, with the scan's slab on top; the
+    tolerance test of the values near the best only (:func:`_near_best`),
+    and grid indices for the argmins only (:func:`_kernels.nth_true`).
     """
     sf = inst.sf
     if inst.n > 3:
@@ -178,13 +179,11 @@ def brute_force_min(
 
     axes = [grid.axis(i) for i in range(inst.n)]
     sf.validate(np.concatenate(axes))
-    feas, vals = _kernels.grid_scan(axes, B, g, h, p, qc, sf)
-    fvals = vals[feas]
-    del vals
+    feas, fvals = _kernels.grid_scan(axes, B, g, h, p, qc, sf)
     if fvals.size == 0:
         return OracleResult(None, [], 0)
     best = float(fvals.max() if sf.minimize else fvals.min())
-    hit = np.flatnonzero(feas)[_near_best(fvals, best, eps, sf)]
+    hit = _kernels.nth_true(feas, _near_best(fvals, best, eps, sf))
     index = np.unravel_index(hit, tuple(len(v) for v in axes))
     argmins = np.stack([axes[i][k] for i, k in enumerate(index)], axis=1)
     return OracleResult(TropicalScalar(best, sf), list(argmins), int(fvals.size))

@@ -4,20 +4,26 @@
 same results one element at a time, with the semifield's order written out
 as comparisons and its product as ``+`` or ``*``: they read only
 ``sf.minimize`` and ``sf.times``, not the ufuncs the kernels take from
-``sf``.  They are slow and serve only as the reference here.
+``sf``.  They are slow and serve only as the reference here;
+``grid_scan_stepwise`` is ``grid_scan_loop`` with each step applied to every
+point at once, for grids too large for a loop.
 ``matmul_in_order`` and ``closure_outer`` are numpy references that pin
 the signs of zero on ties: the first reduces in k order by numpy's tie
 rule, the second forms each pivot with ``sf.mul.outer`` and ``sf.add``.
 """
 
+import functools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import tropt as t
+from tropt import _kernels
 from tropt._kernels import (
-    _ALIGN_ELEMENTS, _BLOCK_ELEMENTS, _walk_is_cheaper, closure, grid_scan, matmul, walk_trace,
+    _ALIGN_ELEMENTS, _BLOCK_ELEMENTS, _CALL_ELEMENTS, _box, _walk_is_cheaper, closure, grid_scan,
+    matmul, nth_true, walk_trace,
 )
 
 SEMIFIELDS = [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES]
@@ -135,6 +141,31 @@ def grid_scan_loop(X, B, g, h, p, qc, sf):
                 obj = v
         vals[r] = obj
     return feas, vals
+
+
+def grid_scan_stepwise(X, B, g, h, p, qc, sf):
+    """``grid_scan_loop`` over all rows of X at once, one comparison or ``np.where`` per step."""
+    minimize, times = sf.minimize, sf.times
+    below = np.greater_equal if minimize else np.less_equal  # a <= b in the semifield order
+    N, n = X.shape
+    feas = np.ones(N, dtype=np.bool_)
+    for i in range(n):
+        if g is not None:
+            feas &= below(g[i], X[:, i])
+        if h is not None:
+            feas &= below(X[:, i], h[i])
+        if B is not None:
+            best = np.full(N, np.inf if minimize else -np.inf)
+            for k in range(n):
+                v = B[i, k] * X[:, k] if times else B[i, k] + X[:, k]
+                best = np.where(v < best if minimize else v > best, v, best)
+            feas &= below(best, X[:, i])
+    terms = [(1.0 / X[:, i]) * p[i] if times else p[i] - X[:, i] for i in range(n)]
+    terms += [qc[i] * X[:, i] if times else qc[i] + X[:, i] for i in range(n)]
+    obj = terms[0]
+    for v in terms[1:]:
+        obj = np.where(v <= obj if minimize else v >= obj, v, obj)
+    return feas, obj
 
 
 def product_points(axes):
@@ -283,7 +314,7 @@ def test_grid_scan_variants_agree(sf):
                     f1, v1 = grid_scan(axes, *args)
                     f2, v2 = grid_scan_loop(X, *args)
                     assert f1.tobytes() == f2.tobytes()
-                    assert v1.tobytes() == v2.tobytes()
+                    assert v1.tobytes() == v2[f2].tobytes()
     # n = 3 grids whose axes hold 17 values or more, so that numpy's SIMD
     # loops run along every axis of the folds.  Most axis values are signed
     # zeros, and so are p and conj(q), so that many points tie between
@@ -310,7 +341,7 @@ def test_grid_scan_variants_agree(sf):
             f1, v1 = grid_scan(axes, *args)
             f2, v2 = grid_scan_loop(X, *args)
             assert f1.tobytes() == f2.tobytes()
-            assert v1.tobytes() == v2.tobytes()
+            assert v1.tobytes() == v2[f2].tobytes()
 
 
 def test_grid_scan_signed_zero_tie_goes_to_the_later_term():
@@ -323,7 +354,8 @@ def test_grid_scan_signed_zero_tie_goes_to_the_later_term():
     feas, vals = grid_scan(axes, None, None, None, p, qc, sf)
     assert feas.tolist() == [True, True]
     assert vals.tobytes() == np.array([0.0, -0.0]).tobytes()
-    assert vals.tobytes() == grid_scan_loop(product_points(axes), None, None, None, p, qc, sf)[1].tobytes()
+    f2, v2 = grid_scan_loop(product_points(axes), None, None, None, p, qc, sf)
+    assert vals.tobytes() == v2[f2].tobytes()
 
 
 @pytest.mark.parametrize("op", [np.maximum, np.minimum], ids=["maximum", "minimum"])
@@ -359,7 +391,162 @@ def test_a_tie_of_signed_zeros_goes_to_the_later_operand(op):
         assert (np.signbit(op(full, later, out=full)) == np.signbit(later)).all()
 
 
-def test_grid_scan_memory_is_one_flag_and_one_value_per_point():
+def _box_path_cases(sf, rng):
+    """Grids n = 1 (40,000 points), n = 2 (300 x 300) and n = 3 (40 x 40 x 40).
+
+    Yields the axes, their points and the arguments after them, for every
+    way of leaving B, g and h absent, present or holding zeros.  g and h
+    fall inside, outside or across the axes, so that the box is cut at
+    both ends of an axis, is the whole grid, or is empty.  In the plus
+    semifields the axes cross 0, some through -0.0, and p and conj(q)
+    hold signed zeros.
+    """
+    for k, (n, c) in enumerate([(1, 40_000), (2, 300), (3, 40)] * 2):
+        starts = rng.integers(-c, 1, size=n)
+        axes = [(s + np.arange(c)) / 4 for s in starts]
+        if k % 2 == 0:
+            axes = [np.where(v == 0, -0.0, v) for v in axes]
+        lo = np.array([v[0] for v in axes])
+        width = (c - 1) / 4
+        B = -np.floor(rng.random((n, n)) * width) / 4
+        ends = np.sort(rng.integers(0, c, size=(n, 2)), axis=1) / 4
+        g, h = lo + ends[:, 0], lo + ends[:, 1]
+        g[k % n] = lo[k % n] - 1  # below the axis
+        if k >= 3:
+            h[0] = g[0] - 1  # no x_0 between g_0 and h_0
+        p = rng.integers(-2, 3, size=n) / 4
+        qc = -rng.integers(-2, 3, size=n) / 4
+        p[p == 0] = -0.0
+        if sf.minimize:  # negation maps max-plus to min-plus, and exp plus to times
+            axes = [-v[::-1] for v in axes]
+            B, g, h, p, qc = -B, -g, -h, -p, -qc
+        if sf.times:
+            scale = 8 / width
+            axes = [np.exp(v * scale) for v in axes]
+            B, g, h = (np.exp(v * scale) for v in (B, g, h))
+            p, qc = (np.where(v == 0, 1.0 if sf.minimize else v, np.exp(v * scale)) for v in (p, qc))
+        zeros = [v.copy() for v in (B, g, h)]
+        for v in zeros:
+            v[rng.random(v.shape) < 0.4] = sf.zero
+        X = product_points(axes)
+        for B_arg in (None, B, zeros[0]):
+            for g_arg in (None, g, zeros[1]):
+                for h_arg in (None, h, zeros[2]):
+                    yield axes, X, (B_arg, g_arg, h_arg, p, qc, sf)
+
+
+def _box_kind(box, shape):
+    return ("empty" if box is None
+            else "full" if all(s.stop - s.start == c for s, c in zip(box, shape))
+            else "cut" if any(0 < s.start and s.stop < c for s, c in zip(box, shape))
+            else "one end")
+
+
+@over_semifields
+def test_grid_scan_box_path_agrees(sf, monkeypatch):
+    # Grids from the box step's size floor up (_box_path_cases), against the
+    # point-wise reference by bytes.
+    assert min(40_000, 300**2, 40**3) >= 16 * _CALL_ELEMENTS
+    boxes = []
+
+    def spy(tables, shape):
+        box = _box(tables, shape)
+        boxes.append(_box_kind(box, shape))
+        return box
+
+    monkeypatch.setattr(_kernels, "_box", spy)
+    for axes, X, args in _box_path_cases(sf, np.random.default_rng(74)):
+        f1, v1 = grid_scan(axes, *args)
+        f2, v2 = grid_scan_stepwise(X, *args)
+        assert f1.tobytes() == f2.tobytes()
+        assert v1.tobytes() == v2[f2].tobytes()
+    assert {"empty", "full", "cut"} <= set(boxes)
+
+
+@over_semifields
+def test_grid_scan_in_slabs_agrees(sf, monkeypatch):
+    # A box of more than 128 * _CALL_ELEMENTS points is summed in slabs of
+    # whole rows of its first axis.  With _CALL_ELEMENTS at 64 the grids of
+    # _box_path_cases run in slabs of 8,192 points or one row: 5 slabs at
+    # n = 1 and 12 at n = 2, each with a short last one, and a cut box
+    # whose rows do not divide evenly.
+    monkeypatch.setattr(_kernels, "_CALL_ELEMENTS", 64)
+    boxes = []
+
+    def spy(tables, shape):
+        box = _box(tables, shape)
+        if box is not None and math.prod(s.stop - s.start for s in box) > 128 * 64:
+            boxes.append(_box_kind(box, shape))
+        return box
+
+    monkeypatch.setattr(_kernels, "_box", spy)
+    for axes, X, args in _box_path_cases(sf, np.random.default_rng(77)):
+        f1, v1 = grid_scan(axes, *args)
+        f2, v2 = grid_scan_stepwise(X, *args)
+        assert f1.tobytes() == f2.tobytes()
+        assert v1.tobytes() == v2[f2].tobytes()
+    assert {"full", "cut"} <= set(boxes)
+
+
+def test_nth_true_matches_flatnonzero():
+    # Flag arrays below, at and above the 2^18-flag chunk, with true flags
+    # sparse, dense, only in the first or last chunk, or none; the ranks
+    # are none, the first and last, ranks on both sides of a chunk's end,
+    # and random ones.
+    rng = np.random.default_rng(78)
+    step = 128 * _CALL_ELEMENTS
+    assert step == 1 << 18
+    for size in (1, 1000, step, step + 1, 3 * step - 5, 10**6):
+        for density in (0.0, 1e-5, 0.01, 0.5, 1.0):
+            flags = rng.random(size) < density
+            for part in (slice(None), slice(0, min(step, size)), slice(max(0, size - 7), None)):
+                only = np.zeros(size, dtype=np.bool_)
+                only[part] = flags[part]
+                every = np.flatnonzero(only)
+                count = every.size
+                picks = [np.empty(0, dtype=np.intp), np.array([0, count - 1]),
+                         np.sort(rng.choice(count, size=min(count, 50), replace=False))]
+                ends = np.cumsum([np.count_nonzero(only[a:a + step]) for a in range(0, size, step)])
+                picks.append(np.unique(np.clip(np.concatenate([ends - 1, ends]), 0, count - 1)))
+                for ranks in picks:
+                    ranks = np.unique(ranks[(ranks >= 0) & (ranks < count)]).astype(np.intp)
+                    got = nth_true(only, ranks)
+                    assert got.dtype == np.intp and got.tolist() == every[ranks].tolist()
+
+
+def test_box_is_none_exactly_when_an_axis_has_no_supported_value():
+    # Random tables over one or two axes of grids up to 5 x 5 x 5, against
+    # the support of each index taken one at a time.
+    rng = np.random.default_rng(75)
+    kinds = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 4))
+        shape = tuple(int(c) for c in rng.integers(1, 6, size=n))
+        keys = [(i, j) for i in range(n) for j in range(i) if rng.random() < 0.8]
+        keys += [(i, i) for i in range(n) if rng.random() < 0.4]
+        density = rng.choice([0.05, 0.3, 0.9])
+        tables = {key: rng.random([c if a in key else 1 for a, c in enumerate(shape)]) < density
+                  for key in sorted(keys)}
+        box = _box(tables, shape)
+        support = [np.flatnonzero([all(v.take(m, axis=a).any() for key, v in tables.items() if a in key)
+                                   for m in range(shape[a])])
+                   for a in range(n)]
+        if any(s.size == 0 for s in support):
+            assert box is None
+            kinds.add("empty")
+            continue
+        assert box == tuple(slice(s[0], s[-1] + 1) for s in support)
+        flags = functools.reduce(np.logical_and, tables.values(), np.ones(shape, dtype=np.bool_))
+        inside = np.zeros(shape, dtype=np.bool_)
+        inside[box] = True
+        assert not (flags & ~inside).any()  # the box holds every point that passes every table
+        kinds.add("full" if inside.all() else "cut")
+    assert kinds == {"empty", "full", "cut"}
+
+
+def test_grid_scan_memory_is_one_flag_per_point_and_one_value_per_box_and_feasible_point():
+    # g and h leave the box 89^3 of the 100^3 points, and 46% of the grid
+    # is feasible.
     sf = t.MAX_TIMES
     axes = [np.arange(1.0, 101.0)] * 3
     B = np.array([[0.5, 0.25, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.4]])
@@ -371,9 +558,35 @@ def test_grid_scan_memory_is_one_flag_and_one_value_per_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert feas.size == vals.size == 10**6
-    assert peak < 10 * 10**6  # the flags and values alone take 9 bytes a point
+    assert feas.size == 10**6 and vals.size == feas.sum() == 462_189
+    # 1 byte a point, 9 bytes a box point and 8 bytes a feasible point: 11.0 MB
+    assert peak < 1 * 10**6 + 9 * 89**3 + 8 * vals.size
 
+
+
+def test_grid_scan_memory_of_a_whole_box_is_one_slab(monkeypatch):
+    # The box is the whole 100^3 grid and 63% of it is feasible.  The
+    # objective is summed in slabs of at most 128 * _CALL_ELEMENTS points,
+    # so the scan holds a flag a point, a value a feasible point, and one
+    # slab's sums and feasible values: 10.3 MB, where one pass over the
+    # grid holds 8 bytes a point more.  The slabs give the bytes of that
+    # one pass, taken with the box step and the slabs turned off.
+    sf = t.MAX_TIMES
+    axes = [np.arange(1.0, 101.0)] * 3
+    B = np.array([[0.5, 0.25, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.4]])
+    g, h = np.full(3, 1.0), np.full(3, 100.0)
+    p, qc = np.array([4.0, 2.0, 1.0]), np.array([4.0, 2.0, 1.0])
+    tracemalloc.start()
+    try:
+        feas, vals = grid_scan(axes, B, g, h, p, qc, sf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.size == feas.sum() == 632_830
+    assert peak < 1 * 10**6 + 8 * vals.size + 16 * 128 * _CALL_ELEMENTS
+    monkeypatch.setattr(_kernels, "_CALL_ELEMENTS", 10**6)
+    f1, v1 = grid_scan(axes, B, g, h, p, qc, sf)
+    assert f1.tobytes() == feas.tobytes() and v1.tobytes() == vals.tobytes()
 
 def walk_by_products(a, heavy, sf):
     """:func:`walk_trace` as n - 1 products from ``matmul``, each into a new array."""

@@ -285,6 +285,8 @@ def _point_wise(inst, grid, eps=None):
         sf,
     )
     fvals = vals[feas]
+    if fvals.size == 0:
+        return None, X[:0], 0
     best = float(fvals.max() if sf.minimize else fvals.min())
     return best, X[feas & np.asarray(sf.eq(vals, best, eps))], int(feas.sum())
 
@@ -328,10 +330,90 @@ def test_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert res.argmins
-    assert peak < 18e6  # 14 MB measured; one N x n x n broadcast of the grid takes 237 MB
+    assert peak < 18e6  # 10.0 MB measured; one N x n x n broadcast of the grid takes 237 MB
+
+
+def _memory_instance(g, h):
+    sf = t.MAX_TIMES
+    inst = t.problem(sf, [4, 2, 1], [0.25, 0.5, 1], g=[g] * 3, h=[h] * 3,
+                     B=[[0.5, 0.25, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.4]])
+    return inst, t.GridSpec(np.ones(3), np.full(3, 100.0), 1.0)
+
+
+def _traced_peak(inst, grid):
+    tracemalloc.start()
+    try:
+        res = t.brute_force_min(inst, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.argmins
+    return res, peak
+
+
+def test_scan_memory_follows_the_box_and_the_feasible_points():
+    # 100^3 points, of which g and h leave a box of 89^3 and 46% are
+    # feasible: a flag per point and a box point, a value per feasible
+    # point, and one slab of the box.  A value and a flag per point would
+    # take 12.7 MB.
+    res, peak = _traced_peak(*_memory_instance(2.0, 90.0))
+    assert res.feasible_count == 462_189
+    assert peak < 11.5e6  # 8.4 MB measured
+
+
+def test_scan_memory_of_a_narrow_box():
+    # The same grid with g = 40 and h = 60: the box is 21^3 points.  A value
+    # and a flag per point would take 9.5 MB.
+    res, peak = _traced_peak(*_memory_instance(40.0, 60.0))
+    assert res.feasible_count == 9261
+    assert peak < 2e6  # 1.2 MB measured
 
 
 SEMIFIELDS = [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES]
+
+
+@pytest.mark.parametrize("sf", [t.MAX_TIMES, t.MIN_TIMES], ids=lambda sf: sf.tag)
+def test_scan_matches_one_shot_on_64_cube_traffic(sf, monkeypatch):
+    # Instances shaped like the benchmark's 64^3 oracle class: n = 3, an
+    # integer grid 1..64, B at density 0.7, and a unique optimizer of powers
+    # of two planted in it (built in max-plus exponents and carried by 2^v
+    # to max-times, or by 2^-v to min-times).  Every fifth one has a self-loop
+    # of weight 2 on one coordinate, so no point is feasible and the box is
+    # empty.  The box of the others is narrowed or whole.
+    from tropt import _kernels
+    box_of, kinds = _kernels._box, []
+
+    def spy(tables, shape):
+        box = box_of(tables, shape)
+        kinds.append("empty" if box is None
+                     else "full" if all(s.stop - s.start == c for s, c in zip(box, shape))
+                     else "narrowed")
+        return box
+
+    monkeypatch.setattr(_kernels, "_box", spy)
+    rng = np.random.default_rng(76)
+    grid = t.GridSpec(np.ones(3), np.full(3, 64.0), 1.0)
+    sign = -1.0 if sf.minimize else 1.0
+    for k in range(15):
+        y = sign * rng.integers(0, 7, size=3)  # the optimizer is 2^|y|
+        theta = float(rng.integers(1, 3))
+        B = y[:, None] - y[None, :] - rng.integers(0, 3, size=(3, 3))
+        B[rng.random((3, 3)) >= 0.7] = -np.inf
+        if k % 5 == 4:
+            i = int(rng.integers(3))
+            B[i, i] = 1.0
+        p, q = theta + y, y - theta
+        inst = t.problem(sf, *(np.exp2(sign * v).tolist() for v in (p, q)),
+                         B=np.exp2(sign * B).tolist())
+        best, argmins, count = _point_wise(inst, grid)
+        res = t.brute_force_min(inst, grid)
+        assert res.feasible_count == count
+        if count == 0:
+            assert res.empty
+            continue
+        assert np.float64(res.min_value.value).tobytes() == np.float64(best).tobytes()
+        assert len(argmins) and np.array(res.argmins).tobytes() == argmins.tobytes()
+    assert set(kinds) == {"empty", "full", "narrowed"}
 
 
 @pytest.mark.parametrize("sf", SEMIFIELDS, ids=lambda sf: sf.tag)
