@@ -33,6 +33,10 @@ _ALIGN_ELEMENTS = 1 << 10
 # What one kernel call costs beyond its elements, counted in element
 # operations: about 3 us of numpy dispatch at 1.5 ns per element.
 _CALL_ELEMENTS = 2048
+# Box points per feasible point below which grid_scan gathers the objective's
+# terms at the feasible points: a gathered point costs about as much as this
+# many points of a pass.
+_GATHER = 16
 
 
 def _empty(shape):
@@ -310,13 +314,13 @@ def grid_scan(axes, B, g, h, p, qc, sf):
     ``vals`` holds the objective at the feasible points only; both are in
     lexicographic (C) order of the points.
 
-    No point is built.  Since (+) is max or min, ``(B x)_i <= x_i`` holds
-    exactly when ``b_ij x_j <= x_i`` for every j, a table over axes i and
-    j.  Each comparison is one ufunc, ``<=`` or, in the min semifields,
-    ``>=``, which is exact because negation is.  The conditions on one
-    axis (g_i, h_i and b_ii) are ANDed into a table over two axes while
-    it is small; at n = 3 the three pair tables then make two passes over
-    the box below.
+    No point is built.  The axes are the rows of one array, padded with
+    the semifield one, so that each step on one axis runs once for all n
+    axes.  Since (+) is max or min, ``(B x)_i <= x_i`` holds exactly when
+    ``b_ij x_j <= x_i`` for every j, a table over axes i and j
+    (:func:`_tables`).  Each comparison is one ufunc, ``<=`` or, in the min
+    semifields, ``>=``, which is exact because negation is.  At n = 3 the
+    three pair tables make two passes over the box below.
 
     A point outside the box of :func:`_box` fails some table, so the flags
     and the objective are computed over that box only, from sliced views
@@ -332,58 +336,59 @@ def grid_scan(axes, B, g, h, p, qc, sf):
     their later operand on equal values, -0.0 and +0.0 included, so a sum
     in that order returns the last of the terms that attain it, however
     it is grouped: every value has the bits of one left-to-right
-    reduction over the 2n terms.
+    reduction over the 2n terms.  When at most one box point in
+    ``_GATHER`` is feasible, the terms are gathered at the feasible points
+    and summed there in the same runs, so each value is the same
+    reduction of the same terms; counting the flags to decide costs about
+    2% of a pass.
 
-    A box of more than ``128 * _CALL_ELEMENTS`` points is summed in slabs
-    of whole rows of its first axis, each of at most that many points
-    where a row allows, and each slab's feasible values are copied into
-    ``vals`` before the next is summed.  The memory the values take is
-    then a value per feasible point plus two per slab point, whatever the
-    box; a slab's dozen kernel calls cost under an eighth of its pass.
+    Otherwise, a box of more than ``128 * _CALL_ELEMENTS`` points is
+    summed in slabs of whole rows of its first axis, each of at most that
+    many points where a row allows, and each slab's feasible values are
+    copied into ``vals`` before the next is summed.  The memory the values
+    take is then a value per feasible point plus two per slab point,
+    whatever the box; a slab's dozen kernel calls cost under an eighth of
+    its pass.  Gathering holds a flat index, n grid indices and 2n terms
+    per feasible point.
     """
     n = len(axes)
     shape = tuple(len(v) for v in axes)
-    leq = np.greater_equal if sf.minimize else np.less_equal  # the semifield order
-    x = [v.reshape([-1 if k == i else 1 for k in range(n)]) for i, v in enumerate(axes)]
+    X = np.full((n, max(shape)), sf.one)
+    for i, v in enumerate(axes):
+        X[i, :shape[i]] = v
+    tables = _tables(X, shape, B, g, h, sf)
 
-    # Conditions keyed by their axes (i, j), i >= j; each (i, i) joins the
-    # first pair on axis i, if there is one.
-    conds = {}
-    for i in range(n):
-        if g is not None:
-            conds.setdefault((i, i), []).append(leq(g[i], x[i]))
-        if h is not None:
-            conds.setdefault((i, i), []).append(leq(x[i], h[i]))
-        if B is not None:
-            for j in range(n):
-                key = (max(i, j), min(i, j))
-                conds.setdefault(key, []).append(leq(sf.mul(B[i, j], x[j]), x[i]))
-    for i in range(n):
-        pair = min((key for key in conds if i in key and key[0] > key[1]), default=None)
-        if pair and (i, i) in conds:
-            conds[pair] += conds.pop((i, i))
-    tables = {key: functools.reduce(np.logical_and, conds[key]) for key in sorted(conds)}
-
-    inner, size = shape, math.prod(shape)
+    inner, size, cut = shape, math.prod(shape), tuple(slice(c) for c in shape)
     if tables and size >= 16 * _CALL_ELEMENTS:
         box = _box(tables, shape)
         if box is None:
             return np.zeros(size, dtype=np.bool_), np.empty(0)
         inner = tuple(s.stop - s.start for s in box)
         if inner != shape:
-            x = [_cut(v, box) for v in x]
+            cut = box
             tables = {key: _cut(v, box) for key, v in tables.items()}
     flags = _fold(np.logical_and, list(tables.values()) or [np.ones(inner, dtype=np.bool_)], inner)
 
-    inv = [1.0 / v if sf.times else -v for v in x]
-    terms = [sf.mul(inv[i], p[i]) for i in range(n)] + [sf.mul(qc[i], x[i]) for i in range(n)]
+    # Term t lies along axis i = t % n, cut to the box: inv(x_i) p_i for t < n, then qc_i x_i.
+    inv = np.divide(1.0, X) if sf.times else np.negative(X)
+    lines = [r[i, c] for r in (sf.mul(inv, p[:, None]), sf.mul(qc[:, None], X))
+             for i, c in enumerate(cut)]
+    count = np.count_nonzero(flags)
+    gather = _GATHER * count <= flags.size
+    if gather:
+        at = np.unravel_index(np.flatnonzero(flags), inner)
+        terms = [v[at[t % n]] for t, v in enumerate(lines)]
+    else:
+        terms = [v.reshape([-1 if k == t % n else 1 for k in range(n)]) for t, v in enumerate(lines)]
     run = max(1, n - 1)
     runs = [functools.reduce(sf.add, terms[k:k + run]) for k in range(0, 2 * n, run)]
     rows = max(1, 128 * _CALL_ELEMENTS * inner[0] // math.prod(inner))
-    if rows >= inner[0]:
+    if gather:
+        vals = _fold(sf.add, runs, (count,))
+    elif rows >= inner[0]:
         vals = _fold(sf.add, runs, inner)[flags]
     else:
-        vals, at = np.empty(np.count_nonzero(flags)), 0
+        vals, at = np.empty(count), 0
         for a in range(0, inner[0], rows):
             part = flags.reshape(inner)[a:a + rows]
             k = np.count_nonzero(part)
@@ -395,6 +400,49 @@ def grid_scan(axes, B, g, h, p, qc, sf):
     feas = np.zeros(shape, dtype=np.bool_)
     feas[box] = flags.reshape(inner)
     return feas.ravel(), vals
+
+
+def _tables(X, shape, B, g, h, sf):
+    """The condition tables of :func:`grid_scan`, keyed by their axes (i, j), i >= j.
+
+    ``X`` holds the axes as rows, padded.  A table spans its axes of the
+    grid and has length 1 along the others.  The conditions on one axis,
+    ``g_i <= x_i``, ``x_i <= h_i`` and ``b_ii x_i <= x_i``, are one
+    comparison each over every axis.  With B present at n >= 2 each pair
+    of axes i > j has a table, ``b_ij x_j <= x_i`` and ``b_ji x_i <= x_j``,
+    and the conditions on axis i join the first pair on it while that
+    table is small; otherwise they form a table (i, i) per axis.
+    """
+    n = len(shape)
+    leq = np.greater_equal if sf.minimize else np.less_equal  # the semifield order
+    one_axis = []
+    if g is not None:
+        one_axis.append(leq(g[:, None], X))
+    if h is not None:
+        one_axis.append(leq(X, h[:, None]))
+    if B is not None:
+        one_axis.append(leq(sf.mul(np.diagonal(B)[:, None], X), X))
+    if not one_axis:
+        return {}
+    on = functools.reduce(np.logical_and, one_axis)
+
+    def place(table, axes):  # the table, spanning ``axes`` of the grid
+        return table[tuple(slice(c) if k in axes else None for k, c in enumerate(shape))]
+
+    if B is None or n == 1:
+        return {(i, i): place(on[i], (i,)) for i in range(n)}
+    x = [X[i, :c] for i, c in enumerate(shape)]
+    tables = {}
+    for i in range(1, n):
+        for j in range(i):  # the table over (x_j, x_i)
+            both = (leq(sf.mul(B[i, j], x[j][:, None]), x[i])
+                    & leq(sf.mul(B[j, i], x[i]), x[j][:, None]))
+            if j == 0:  # the first pair on axis i, and for i = 1 on axis 0
+                both &= on[i, :shape[i]]
+                if i == 1:
+                    both &= on[0, :shape[0], None]
+            tables[i, j] = place(both, (j, i))
+    return tables
 
 
 def nth_true(flags, ranks):

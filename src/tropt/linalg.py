@@ -14,7 +14,7 @@ from . import _kernels
 from .errors import DimensionError, DomainError, SemifieldMismatchError
 from .semifield import Semifield, TropicalScalar
 
-__all__ = ["TropicalMatrix", "tmatrix", "tvector", "zeros", "identity"]
+__all__ = ["TropicalMatrix", "tmatrix", "tvector", "zeros", "identity", "conj_values"]
 
 
 class TropicalMatrix:
@@ -122,13 +122,7 @@ class TropicalMatrix:
         Nonzero components are inverted, zero components stay zero; the
         result is transposed.  Rejects the all-zero vector.
         """
-        vals = self.column_values()
-        zero_mask = vals == self.sf.zero
-        if zero_mask.all():
-            raise DomainError("conjugate of the all-zero vector is undefined")
-        out = np.empty_like(vals)
-        out[zero_mask] = self.sf.zero
-        out[~zero_mask] = self.sf.inv(vals[~zero_mask])
+        out = conj_values(self.sf, self.column_values())
         shaped = out.reshape(1, -1) if self.is_column else out.reshape(-1, 1)
         return TropicalMatrix(self.sf, shaped, _trusted=True)
 
@@ -172,6 +166,17 @@ class TropicalMatrix:
         if self.shape != (1, 1):
             raise DimensionError(f"not a 1x1 matrix: {self.shape}")
         return TropicalScalar(float(self.data[0, 0]), self.sf)
+
+
+def conj_values(sf: Semifield, values) -> np.ndarray:
+    """The conjugate's entries of a raw vector, in its shape: nonzero entries
+    inverted, zero entries left zero.  Rejects the all-zero vector."""
+    nonzero = values != sf.zero
+    if not np.count_nonzero(nonzero):
+        raise DomainError("conjugate of the all-zero vector is undefined")
+    out = values.copy()  # its zeros stay
+    return (np.divide(1.0, values, out=out, where=nonzero) if sf.times
+            else np.negative(values, out=out, where=nonzero))
 
 
 def tmatrix(sf: Semifield, rows) -> TropicalMatrix:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, GridGuardError
+from .linalg import conj_values
 from .solve import ProblemInstance
 from .semifield import TropicalScalar
 
@@ -46,23 +47,28 @@ class GridSpec:
         object.__setattr__(self, "upper", upper)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise DomainError("grid bounds must be flat vectors of equal length")
-        if not np.isfinite(lower).all() or not np.isfinite(upper).all():
-            raise DomainError("grid bounds must be finite")
-        if (lower > upper).any():
-            raise DomainError("grid lower bound exceeds upper bound")
-        if not 0 < self.step < np.inf:
-            raise DomainError(f"grid step must be positive and finite, got {self.step}")
         # The counts stay floats until they pass the guard: a span that
-        # overflows, or a tiny step, gives an infinite count.
-        with np.errstate(over="ignore"):
-            counts = np.floor((upper - lower) / self.step + 1e-9) + 1
-            total = float(np.prod(counts))
+        # overflows, or a tiny step, gives an infinite count.  The spans of
+        # finite, ordered bounds lie in [0, inf) unless they overflow, so
+        # one test admits them, and the bounds are checked one by one only
+        # when it fails.
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = upper - lower
+            if np.count_nonzero((span >= 0) & (span < np.inf)) < span.size:
+                if not np.isfinite(lower).all() or not np.isfinite(upper).all():
+                    raise DomainError("grid bounds must be finite")
+                if (lower > upper).any():
+                    raise DomainError("grid lower bound exceeds upper bound")
+            if not 0 < self.step < np.inf:
+                raise DomainError(f"grid step must be positive and finite, got {self.step}")
+            counts = (np.floor(span / self.step + 1e-9) + 1).tolist()
+        total = math.prod(counts)
         if not total <= MAX_POINTS:
             raise GridGuardError(
                 f"grid would hold {total:.15g} points (limit {MAX_POINTS}); "
                 f"increase the step (currently {self.step})"
             )
-        object.__setattr__(self, "_counts", tuple(int(c) for c in counts))
+        object.__setattr__(self, "_counts", tuple(map(int, counts)))
 
     def __eq__(self, other):
         if not isinstance(other, GridSpec):
@@ -73,16 +79,17 @@ class GridSpec:
     def __hash__(self):
         return hash((tuple(self.lower.tolist()), tuple(self.upper.tolist()), self.step))
 
-    def axis(self, i: int) -> np.ndarray:
-        return self.lower[i] + self.step * np.arange(self._counts[i])
+    def axes(self) -> list:
+        """Every axis, ``lower_i + step * k`` for k below its count, from one run of step multiples."""
+        steps = self.step * np.arange(max(self._counts, default=0))
+        return [lo + steps[:c] for lo, c in zip(self.lower.tolist(), self._counts)]
 
     def point_count(self) -> int:
         return math.prod(self._counts)
 
     def points(self) -> np.ndarray:
         """Grid points in lexicographic order, one per row."""
-        axes = [self.axis(i) for i in range(len(self.lower))]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
@@ -171,21 +178,20 @@ def brute_force_min(
     if len(grid.lower) != inst.n:
         raise DomainError(f"grid dimension {len(grid.lower)} != instance dimension {inst.n}")
 
-    B = inst.B.data if inst.B is not None else None
-    g = inst.g.data.reshape(-1) if inst.g is not None else None
-    h = inst.h.data.reshape(-1) if inst.h is not None else None
-    qc = inst.q.conj().data.reshape(-1)
-    p = inst.p.data.reshape(-1)
+    B = None if inst.B is None else inst.B.data
+    g, h = (None if v is None else v.data[:, 0] for v in (inst.g, inst.h))
+    qc = conj_values(sf, inst.q.data[:, 0])
 
-    axes = [grid.axis(i) for i in range(inst.n)]
+    axes = grid.axes()
     sf.validate(np.concatenate(axes))
-    feas, fvals = _kernels.grid_scan(axes, B, g, h, p, qc, sf)
+    feas, fvals = _kernels.grid_scan(axes, B, g, h, inst.p.data[:, 0], qc, sf)
     if fvals.size == 0:
         return OracleResult(None, [], 0)
     best = float(fvals.max() if sf.minimize else fvals.min())
     hit = _kernels.nth_true(feas, _near_best(fvals, best, eps, sf))
-    index = np.unravel_index(hit, tuple(len(v) for v in axes))
-    argmins = np.stack([axes[i][k] for i, k in enumerate(index)], axis=1)
+    # The argmins' coordinates from their grid indices, as the axes compute them.
+    coords = grid.lower[:, None] + grid.step * np.array(np.unravel_index(hit, grid._counts))
+    argmins = np.ascontiguousarray(coords.T)
     return OracleResult(TropicalScalar(best, sf), list(argmins), int(fvals.size))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, DomainError, SemifieldMismatchError, TroptError
-from .linalg import TropicalMatrix, identity, tmatrix, tvector
+from .linalg import TropicalMatrix, conj_values, identity, tmatrix, tvector
 from .semifield import Semifield, TropicalScalar
 
 __all__ = [
@@ -127,28 +127,32 @@ def objective(p: TropicalMatrix, q: TropicalMatrix, x: TropicalMatrix) -> Tropic
         raise DimensionError(
             f"p, q and x must be column vectors of one length, got {p.shape}, {q.shape}, {x.shape}"
         )
-    return p.sf.scalar(_objectives(p, q, x.data)[0])
+    return p.sf.scalar(_objectives(p.sf, p.data, q.data, x.data)[0])
 
 
-def _objectives(p, q, xs) -> np.ndarray:
+def _objectives(sf, p, q, xs) -> np.ndarray:
     """conj(x) p + conj(q) x for each column x of the raw n x k array xs.
 
-    Each term runs as one product over all k columns; for k = 1 the
-    products have the shapes of the vector forms, so the value keeps their
-    bits.  Both terms and their sum are checked in the carrier: in the
-    times semifields a product of carrier values can overflow to +inf or
+    p and q are raw columns.  The products of each term are written to k
+    contiguous rows of n, each row reduced on its own, so every value
+    keeps the bits of the vector form on its column: numpy reduces a
+    contiguous run in an order of its own, which decides between -0.0 and
+    +0.0 on a tie.  Both terms
+    and their sum are checked in the carrier at once: in the times
+    semifields a product of carrier values can overflow to +inf or
     underflow to 0.0.
     """
-    sf = p.sf
-    if (xs == sf.zero).any():
+    if np.count_nonzero(xs == sf.zero):
         raise DomainError("objective requires a regular x")
-    a = _kernels.matmul(sf.inv(xs.T), p.data, sf)[:, 0]
-    sf.validate(a)
-    b = _kernels.matmul(q.conj().data, xs, sf)[0]
-    sf.validate(b)
-    total = sf.add(a, b)
-    sf.validate(total)
-    return total
+    xt = xs.T
+    terms = np.empty((2, *xt.shape))  # the products of conj(x) p and of conj(q) x, by columns
+    sf.mul(np.divide(1.0, xt) if sf.times else np.negative(xt), p.T, out=terms[0])
+    sf.mul(conj_values(sf, q.T), xt, out=terms[1])
+    out = np.empty((3, xt.shape[0]))  # the two terms and their sum
+    sf.add.reduce(terms, axis=2, out=out[:2])
+    sf.add(out[0], out[1], out=out[2])
+    sf.validate(out)
+    return out[2]
 
 
 def _check_operands(sf, p, q, g, h, B) -> None:
@@ -320,36 +324,49 @@ def contains(
     that pass the constraints, and raises on a non-regular one.  The two
     tests must agree on every column; a disagreement indicates numeric
     drift and raises, naming the first column that disagrees.
+
+    Every order test of both runs in one ``sf.leq`` over stacked rows:
+    the direct ``[B x | g | x] <= [x | x | h]``, then the parametric
+    ``[G x | x | u_lo | x] <= [x | G x | x | u_hi]`` for the generator G.
+    x is in {G u : u_lo <= u <= u_hi} iff G x == x (so x itself is a valid
+    parameter) and x fits the u-box; ``G x == x`` is tested as the order
+    both ways, which accepts exactly the pairs that ``sf.eq`` accepts, its
+    tolerance being symmetric.
     """
     if x.rows != inst.n:
         raise DimensionError(f"x must have {inst.n} rows, one column per point")
     inst.p._same_sf(x)
     sf, xs = inst.sf, x.data
 
-    def leq(a, b):  # a <= b in every row, per column
-        return sf.leq(a, b, eps).all(axis=0)
-
-    direct = np.ones(x.cols, dtype=np.bool_)
+    n, k = xs.shape
+    gen = sol.generator.data
+    products = _kernels.matmul(gen if inst.B is None else np.concatenate((inst.B.data, gen)), xs, sf)
+    gx = products[-n:]
+    blocks = []  # (left, right): the direct test's, then the parametric test's
     if inst.B is not None:
-        direct &= leq(_kernels.matmul(inst.B.data, xs, sf), xs)
+        blocks.append((products[:n], xs))
     if inst.g is not None:
-        direct &= leq(inst.g.data, xs)
+        blocks.append((inst.g.data, xs))
     if inst.h is not None:
-        direct &= leq(xs, inst.h.data)
-    if direct.any():
-        values = _objectives(inst.p, inst.q, xs[:, direct])
+        blocks.append((xs, inst.h.data))
+    split = len(blocks) * n
+    blocks += [(gx, xs), (xs, gx), (sol.u_lo.data, xs), (xs, sol.u_hi.data)]
+    sides = list(zip(*blocks))
+    if k > 1:  # the vectors repeat across the columns
+        sides = [[np.broadcast_to(v, xs.shape) for v in side] for side in sides]
+    ok = sf.leq(np.concatenate(sides[0]), np.concatenate(sides[1]), eps)
+    direct, parametric = ok[:split].all(axis=0), ok[split:].all(axis=0)
+
+    hits = np.count_nonzero(direct)
+    if hits:
+        values = _objectives(sf, inst.p.data, inst.q.data, xs if hits == k else xs[:, direct])
         direct[direct] = sf.eq(values, sol.theta.value, eps)
 
-    # x is in {gen @ u : u_lo <= u <= u_hi} iff gen @ x == x (so x itself
-    # is a valid parameter) and x fits the u-box.
-    fixed = sf.eq(_kernels.matmul(sol.generator.data, xs, sf), xs, eps).all(axis=0)
-    parametric = fixed & leq(sol.u_lo.data, xs) & leq(xs, sol.u_hi.data)
-
-    disagree = np.flatnonzero(direct != parametric)
-    if disagree.size:
-        j = disagree[0]
+    disagree = direct != parametric
+    if np.count_nonzero(disagree):
+        j = int(np.argmax(disagree))
         raise TroptError(
             f"membership tests disagree at column {j}, x={xs[:, [j]].tolist()}: "
             f"direct={direct[j]} parametric={parametric[j]}"
         )
-    return bool(direct.all())
+    return bool(np.count_nonzero(direct) == k)

@@ -279,13 +279,18 @@ def test_one_heavy_pivot_route_by_size_and_position(sf):
     assert {"square", "walk"} <= set(routes[19].split())
 
 
-@over_semifields
-def test_grid_scan_variants_agree(sf):
-    # Every point of each product grid against the loop, by bytes: B, g and
-    # h each absent, present or holding zeros; axes of length 1; in the
-    # plus semifields -0.0 in p and in conj(q) (from q_i = 0), and axes
-    # that cross 0, some through -0.0.
-    rng = np.random.default_rng(63)
+def _variant_cases(sf, rng):
+    """Small product grids, n = 1 to 3, to compare point by point with the loop.
+
+    Yields the axes, their points and the arguments after them: B, g and
+    h each absent, present or holding zeros; axes of length 1; in the
+    plus semifields -0.0 in p and in conj(q) (from q_i = 0), and axes
+    that cross 0, some through -0.0.  Then n = 3 grids whose axes hold 17
+    values or more, so that numpy's SIMD loops run along every axis of
+    the folds.  Most of their axis values are signed zeros, and so are p
+    and conj(q), so that many points tie between -0.0 and +0.0 (in
+    max-times only through p and conj(q)).
+    """
     for k in range(30):
         n = int(rng.integers(1, 4))
         sizes = [1] * n if k % 10 == 0 else rng.integers(1, 7, size=n)
@@ -310,15 +315,7 @@ def test_grid_scan_variants_agree(sf):
         for B_arg in (None, B, zeros[0]):
             for g_arg in (None, g, zeros[1]):
                 for h_arg in (None, h, zeros[2]):
-                    args = (B_arg, g_arg, h_arg, p, qc, sf)
-                    f1, v1 = grid_scan(axes, *args)
-                    f2, v2 = grid_scan_loop(X, *args)
-                    assert f1.tobytes() == f2.tobytes()
-                    assert v1.tobytes() == v2[f2].tobytes()
-    # n = 3 grids whose axes hold 17 values or more, so that numpy's SIMD
-    # loops run along every axis of the folds.  Most axis values are signed
-    # zeros, and so are p and conj(q), so that many points tie between
-    # -0.0 and +0.0 (in max-times only through p and conj(q)).
+                    yield axes, X, (B_arg, g_arg, h_arg, p, qc, sf)
     for k in range(2):
         values = [-0.0, 0.0, -0.0, 0.0, -1.0, 0.5, 1.5]
         axes = [rng.choice(values, size=c) for c in rng.integers(17, 20, size=3)]
@@ -338,10 +335,39 @@ def test_grid_scan_variants_agree(sf):
             v[rng.random(v.shape) < 0.4] = sf.zero
         X = product_points(axes)
         for args in ((None, None, None, p, qc, sf), (B, g, h, p, qc, sf), (*zeros, p, qc, sf)):
+            yield axes, X, args
+
+
+@over_semifields
+def test_grid_scan_variants_agree(sf):
+    # Every point of each product grid of _variant_cases against the loop, by bytes.
+    for axes, X, args in _variant_cases(sf, np.random.default_rng(63)):
+        f1, v1 = grid_scan(axes, *args)
+        f2, v2 = grid_scan_loop(X, *args)
+        assert f1.tobytes() == f2.tobytes()
+        assert v1.tobytes() == v2[f2].tobytes()
+
+
+@over_semifields
+def test_grid_scan_gathers_the_same_bits(sf, monkeypatch):
+    # The objective summed at the gathered feasible points and over the
+    # whole box give the same bytes: every grid of _variant_cases against
+    # the loop, and of _box_path_cases against the stepwise reference, with
+    # the terms always gathered (_GATHER = 1) and never (_GATHER above any
+    # box).  Both ways take grids with no feasible point, a few and many.
+    shares = set()
+    for gather in (1, 10**9):
+        monkeypatch.setattr(_kernels, "_GATHER", gather)
+        cases = [(grid_scan_loop, c) for c in _variant_cases(sf, np.random.default_rng(63))]
+        cases += [(grid_scan_stepwise, c) for c in _box_path_cases(sf, np.random.default_rng(74))]
+        for reference, (axes, X, args) in cases:
             f1, v1 = grid_scan(axes, *args)
-            f2, v2 = grid_scan_loop(X, *args)
+            f2, v2 = reference(X, *args)
             assert f1.tobytes() == f2.tobytes()
             assert v1.tobytes() == v2[f2].tobytes()
+            share = v1.size / f1.size
+            shares.add("none" if share == 0 else "few" if share <= 1 / 16 else "many")
+    assert shares == {"none", "few", "many"}
 
 
 def test_grid_scan_signed_zero_tie_goes_to_the_later_term():

@@ -13,6 +13,7 @@ import pytest
 
 import tropt as t
 from tropt.errors import DimensionError, DomainError, TroptError
+from tropt.solve import _objectives
 
 from conftest import MIXED_B_MAX_N, random_feasible_instance
 
@@ -202,6 +203,33 @@ def test_objective_keeps_the_vector_bits(cases):
             assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
             checked += 1
     assert checked > 5_000
+
+
+@pytest.mark.parametrize("sf", SEMIFIELDS, ids=lambda sf: sf.tag)
+def test_multi_column_objective_keeps_the_vector_bits(sf):
+    # The objective that contains evaluates once over k columns, against
+    # objective_vector on each column alone, by bytes.  In max-plus terms
+    # x is a signed zero, p at most 0 and q at least 0, so that both terms
+    # mostly peak at 0, where in the plus semifields -0.0 and +0.0 tie; p
+    # and q hold zeros; and n reaches 33, where numpy reduces a contiguous
+    # row in an order of its own.
+    rng = np.random.default_rng(79)
+    checked = 0
+    for n in (1, 2, 3, 4, 9, 17, 33):
+        for _ in range(20):
+            k = int(rng.integers(2, 7))
+            xs = encode(sf, rng.choice([0.0, -0.0], size=(n, k)))
+            p = encode(sf, rng.choice([0.0, -0.0, -1.0], size=n))
+            q = encode(sf, rng.choice([0.0, -0.0, 1.0], size=n))
+            p[rng.random(n) < 0.2] = sf.zero
+            q[rng.random(n) < 0.2] = sf.zero
+            q[int(rng.integers(n))] = sf.one  # q is not all zero
+            got = _objectives(sf, p[:, None], q[:, None], xs)
+            for j in range(k):
+                want = objective_vector(t.tvector(sf, p), t.tvector(sf, q), column(sf, xs[:, j]))
+                assert np.float64(got[j]).tobytes() == np.float64(want.value).tobytes()
+                checked += 1
+    assert checked > 400
 
 
 def test_wrong_row_count_raises(worked, mp):

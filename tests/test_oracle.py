@@ -272,16 +272,22 @@ def grid_scan_rows(X, B, g, h, p, qc, sf):
 
 
 def _point_wise(inst, grid, eps=None):
-    """The oracle's answer from a scan of every point of the grid, built as a row."""
+    """The oracle's answer from a scan of every point of the grid, built as a row.
+
+    conj(q) is formed here, so that the reference shares no conjugate with the oracle.
+    """
     sf = inst.sf
     X = grid.points()
+    q = inst.q.data.reshape(-1)
+    with np.errstate(divide="ignore"):
+        qc = np.where(q == sf.zero, sf.zero, 1.0 / q if sf.times else -q)
     feas, vals = grid_scan_rows(
         X,
         inst.B.data if inst.B is not None else None,
         inst.g.data.reshape(-1) if inst.g is not None else None,
         inst.h.data.reshape(-1) if inst.h is not None else None,
         inst.p.data.reshape(-1),
-        inst.q.conj().data.reshape(-1),
+        qc,
         sf,
     )
     fvals = vals[feas]
@@ -414,6 +420,46 @@ def test_scan_matches_one_shot_on_64_cube_traffic(sf, monkeypatch):
         assert np.float64(res.min_value.value).tobytes() == np.float64(best).tobytes()
         assert len(argmins) and np.array(res.argmins).tobytes() == argmins.tobytes()
     assert set(kinds) == {"empty", "full", "narrowed"}
+
+
+@pytest.mark.parametrize("sf", [t.MAX_PLUS, t.MIN_PLUS], ids=lambda sf: sf.tag)
+def test_scan_matches_one_shot_on_29_cube_traffic(sf):
+    # Instances shaped like the benchmark's plus-semifield oracle class:
+    # n = 3, integer data of largest magnitude 2 and B at density 0.7, on
+    # default_grid, which spans 29^3 points when g and h are absent.  Half
+    # carry g and h, and every third q has a zero component.  A q that is
+    # all zero has no conjugate.
+    rng = np.random.default_rng(81)
+    sign = -1.0 if sf.minimize else 1.0
+    shares = set()
+    for k in range(24):
+        B = rng.integers(-2, 1, size=(3, 3)).astype(float)
+        B[rng.random((3, 3)) >= 0.7] = -np.inf
+        p, q = (rng.integers(-2, 3, size=3).astype(float) for _ in range(2))
+        p[int(rng.integers(3))] = 2.0  # the largest magnitude
+        if k % 3 == 0:
+            q[int(rng.integers(3))] = -np.inf
+        g = h = None
+        if k % 2:
+            g = rng.integers(-2, 1, size=3).astype(float)
+            h = g + rng.integers(0, 3, size=3)
+        inst = t.problem(sf, *(sign * v for v in (p, q)), g=None if g is None else sign * g,
+                         h=None if h is None else sign * h, B=sign * B)
+        grid = t.default_grid(inst)
+        assert g is not None or grid.point_count() == 29**3
+        best, argmins, count = _point_wise(inst, grid)
+        res = t.brute_force_min(inst, grid)
+        assert res.feasible_count == count
+        shares.add("none" if count == 0 else "few" if count <= grid.point_count() / 16 else "many")
+        if count == 0:
+            assert res.empty
+            continue
+        assert np.float64(res.min_value.value).tobytes() == np.float64(best).tobytes()
+        assert len(argmins) and np.array(res.argmins).tobytes() == argmins.tobytes()
+        zero_q = t.ProblemInstance(sf, inst.p, t.tvector(sf, [sf.zero] * 3), inst.g, inst.h, inst.B)
+        with pytest.raises(DomainError, match="conjugate of the all-zero vector"):
+            t.brute_force_min(zero_q, grid)
+    assert {"few", "many"} <= shares
 
 
 @pytest.mark.parametrize("sf", SEMIFIELDS, ids=lambda sf: sf.tag)

@@ -146,6 +146,17 @@ def _value_strategy(sf):
     return st.one_of(st.just(sf.zero), finite)
 
 
+def _assert_monotone(sf, a, b, u, v):
+    """Sum and product keep the exact order (eps = 0): from lo1 <= hi1 and
+    lo2 <= hi2 follow lo1 + lo2 <= hi1 + hi2 and lo1 lo2 <= hi1 hi2, as
+    rounding is monotone."""
+    below = lambda x, y: bool(sf.leq(x.value, y.value, 0))
+    lo1, hi1 = (a, b) if below(a, b) else (b, a)
+    lo2, hi2 = (u, v) if below(u, v) else (v, u)
+    assert below(lo1 + lo2, hi1 + hi2)
+    assert below(lo1 * lo2, hi1 * hi2)
+
+
 @pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
 class TestProperties:
     @settings(max_examples=100)
@@ -175,14 +186,16 @@ class TestProperties:
     @settings(max_examples=100)
     @given(data=st.data())
     def test_monotonicity(self, sf, data):
-        a = s(sf, data.draw(_value_strategy(sf)))
-        b = s(sf, data.draw(_value_strategy(sf)))
-        u = s(sf, data.draw(_value_strategy(sf)))
-        v = s(sf, data.draw(_value_strategy(sf)))
-        lo1, hi1 = (a, b) if a <= b else (b, a)
-        lo2, hi2 = (u, v) if u <= v else (v, u)
-        assert lo1 + lo2 <= hi1 + hi2
-        assert (lo1 * lo2 <= hi1 * hi2) or (lo1 * lo2).eq(hi1 * hi2)
+        a, b, u, v = (s(sf, data.draw(_value_strategy(sf))) for _ in range(4))
+        _assert_monotone(sf, a, b, u, v)
+
+    def test_monotonicity_at_the_tolerance(self, sf):
+        # The draw a = u = 0, b = v = 1e-9, carried to the times semifields
+        # as _value_strategy carries it.  In min-plus the tolerant order
+        # reads 0 <= 1e-9, yet the products 0 and 2e-9 are neither ordered
+        # nor equal within eps: the tolerance is not closed under the product.
+        lo, hi = (math.exp(0.0), math.exp(1e-9 / 4)) if sf.times else (0.0, 1e-9)
+        _assert_monotone(sf, s(sf, lo), s(sf, hi), s(sf, lo), s(sf, hi))
 
     @settings(max_examples=100)
     @given(data=st.data())
