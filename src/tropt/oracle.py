@@ -80,7 +80,8 @@ class GridSpec:
         return hash((tuple(self.lower.tolist()), tuple(self.upper.tolist()), self.step))
 
     def axes(self) -> list:
-        """Every axis, ``lower_i + step * k`` for k below its count, from one run of step multiples."""
+        """Every axis, ``lower_i + step * k`` for k below its count, from one run of
+        step multiples."""
         steps = self.step * np.arange(max(self._counts, default=0))
         return [lo + steps[:c] for lo, c in zip(self.lower.tolist(), self._counts)]
 

@@ -137,10 +137,9 @@ def _objectives(sf, p, q, xs) -> np.ndarray:
     contiguous rows of n, each row reduced on its own, so every value
     keeps the bits of the vector form on its column: numpy reduces a
     contiguous run in an order of its own, which decides between -0.0 and
-    +0.0 on a tie.  Both terms
-    and their sum are checked in the carrier at once: in the times
-    semifields a product of carrier values can overflow to +inf or
-    underflow to 0.0.
+    +0.0 on a tie.  Both terms and their sum are checked in the carrier
+    at once: in the times semifields a product of carrier values can
+    overflow to +inf or underflow to 0.0.
     """
     if np.count_nonzero(xs == sf.zero):
         raise DomainError("objective requires a regular x")
@@ -340,7 +339,8 @@ def contains(
 
     n, k = xs.shape
     gen = sol.generator.data
-    products = _kernels.matmul(gen if inst.B is None else np.concatenate((inst.B.data, gen)), xs, sf)
+    stacked = gen if inst.B is None else np.concatenate((inst.B.data, gen))
+    products = _kernels.matmul(stacked, xs, sf)  # B x over G x: each row keeps its bits
     gx = products[-n:]
     blocks = []  # (left, right): the direct test's, then the parametric test's
     if inst.B is not None:
