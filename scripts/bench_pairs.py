@@ -2,12 +2,12 @@
 
 Usage:
     python3 scripts/bench_pairs.py --parent DIR --change DIR --label COMMIT \\
-        --plan oracle-verify:1-10 --plan small-mixed:1-3 [--seconds 25] \\
-        [--out BENCH_COMMIT.json] [--about TEXT] [--note TEXT] [--append]
+        --plan oracle-verify:1-10 --plan small-mixed:1-3 \\
+        [--about TEXT] [--note TEXT] [--append]
 
 Each checkout must hold ``benchmarks/perf/run.py`` and the ``src/`` it
 benchmarks; the script runs that file unmodified, once per side, workload
-and seed, with ``--seconds``.  A plan item is ``WORKLOAD:SEEDS``, the seeds
+and seed, for ``SECONDS`` each.  A plan item is ``WORKLOAD:SEEDS``, the seeds
 a comma list of numbers and ranges (``1-3,11``).  The sides alternate
 which runs first from one pair to the next, so drift in the host's speed
 falls on both.  Export both sides fresh, into directories whose paths have
@@ -34,6 +34,7 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+SECONDS = 25  # the length of every run, the same on both sides
 # name -> whether a higher value is better, as benchmarks/perf/run.py reports them
 END_TO_END = {"ops_per_s": True, "latency_ms_p50": False, "latency_ms_p90": False,
               "ops_ok_ratio": True, "peak_rss_mb": False, "setup_s": False}
@@ -58,10 +59,10 @@ def parse_plan(items) -> list:
     return plan
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple:
+def run_once(checkout: str, workload: str, seed: int) -> tuple:
     """One run.py run: (its last line as JSON, its env line as JSON or None)."""
     cmd = [sys.executable, os.path.join("benchmarks", "perf", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(SECONDS)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
@@ -120,8 +121,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--label", required=True, help="the parent commit, for the file name")
     parser.add_argument("--plan", action="append", required=True, help="WORKLOAD:SEEDS")
-    parser.add_argument("--seconds", type=float, default=25)
-    parser.add_argument("--out", help="output path (default BENCH_<label>.json)")
     parser.add_argument("--about", default="", help="what the two sides are")
     parser.add_argument("--note", default="", help="a note on the host")
     parser.add_argument("--append", action="store_true", help="keep the runs of an existing output")
@@ -130,7 +129,7 @@ def main(argv=None) -> int:
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     if len(dirs["parent"]) != len(dirs["change"]):
         print("warning: the checkouts' paths differ in length", file=sys.stderr)
-    out_path = args.out or f"BENCH_{args.label}.json"
+    out_path = f"BENCH_{args.label}.json"
     old = {}
     if args.append and os.path.exists(out_path):
         with open(out_path) as f:
@@ -138,7 +137,7 @@ def main(argv=None) -> int:
     runs, env = list(old.get("runs", [])), old.get("env")
     for k, (workload, seed) in enumerate(parse_plan(args.plan)):
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-            last, run_env = run_once(dirs[side], workload, seed, args.seconds)
+            last, run_env = run_once(dirs[side], workload, seed)
             env = env or run_env
             runs.append({"workload": workload, "seed": seed, "side": side, "last_line": last})
             print(f"{workload} seed {seed} {side}: p90 {value(runs[-1], 'latency_ms_p90')} ms",
@@ -149,7 +148,7 @@ def main(argv=None) -> int:
         "parent": args.label,
         "host": {**host(), "note": args.note or old.get("host", {}).get("note", "")},
         "env": env,
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "medians": medians,
         "pairs": pairs,
         "runs": runs,

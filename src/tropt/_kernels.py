@@ -336,20 +336,22 @@ def grid_scan(axes, B, g, h, p, qc, sf):
     their later operand on equal values, -0.0 and +0.0 included, so a sum
     in that order returns the last of the terms that attain it, however
     it is grouped: every value has the bits of one left-to-right
-    reduction over the 2n terms.  When at most one box point in
-    ``_GATHER`` is feasible, the terms are gathered at the feasible points
-    and summed there in the same runs, so each value is the same
-    reduction of the same terms; counting the flags to decide costs about
-    2% of a pass.
+    reduction over the 2n terms.
 
-    Otherwise, a box of more than ``128 * _CALL_ELEMENTS`` points is
-    summed in slabs of whole rows of its first axis, each of at most that
-    many points where a row allows, and each slab's feasible values are
-    copied into ``vals`` before the next is summed.  The memory the values
-    take is then a value per feasible point plus two per slab point,
-    whatever the box; a slab's dozen kernel calls cost under an eighth of
-    its pass.  Gathering holds a flat index, n grid indices and 2n terms
-    per feasible point.
+    A box of more than ``128 * _CALL_ELEMENTS`` points is summed in slabs
+    of whole rows of its first axis, each of at most that many points
+    where a row allows, and each slab's feasible values are copied into
+    ``vals`` before the next is summed.  The memory the values take is
+    then a value per feasible point plus two per slab point, whatever the
+    box; a slab's dozen kernel calls cost under an eighth of its pass.
+
+    A box of one slab where at most one point in ``_GATHER`` is feasible
+    has its terms gathered at the feasible points instead, and summed
+    there in the same runs, so each value is the same reduction of the
+    same terms; counting the flags to decide costs about 2% of a pass.
+    Gathering holds a flat index, n grid indices and 2n terms, about
+    100 bytes at n = 3, per feasible point: less than the pass over the
+    slab it replaces.
     """
     n = len(axes)
     shape = tuple(len(v) for v in axes)
@@ -374,7 +376,8 @@ def grid_scan(axes, B, g, h, p, qc, sf):
     lines = [r[i, c] for r in (sf.mul(inv, p[:, None]), sf.mul(qc[:, None], X))
              for i, c in enumerate(cut)]
     count = np.count_nonzero(flags)
-    gather = _GATHER * count <= flags.size
+    rows = max(1, 128 * _CALL_ELEMENTS * inner[0] // math.prod(inner))
+    gather = rows >= inner[0] and _GATHER * count <= flags.size
     if gather:
         at = np.unravel_index(np.flatnonzero(flags), inner)
         terms = [v[at[t % n]] for t, v in enumerate(lines)]
@@ -382,7 +385,6 @@ def grid_scan(axes, B, g, h, p, qc, sf):
         terms = [v.reshape([-1 if k == t % n else 1 for k in range(n)]) for t, v in enumerate(lines)]
     run = max(1, n - 1)
     runs = [functools.reduce(sf.add, terms[k:k + run]) for k in range(0, 2 * n, run)]
-    rows = max(1, 128 * _CALL_ELEMENTS * inner[0] // math.prod(inner))
     if gather:
         vals = _fold(sf.add, runs, (count,))
     elif rows >= inner[0]:

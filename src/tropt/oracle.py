@@ -47,21 +47,16 @@ class GridSpec:
         object.__setattr__(self, "upper", upper)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise DomainError("grid bounds must be flat vectors of equal length")
+        if not np.isfinite(lower).all() or not np.isfinite(upper).all():
+            raise DomainError("grid bounds must be finite")
+        if (lower > upper).any():
+            raise DomainError("grid lower bound exceeds upper bound")
+        if not 0 < self.step < np.inf:
+            raise DomainError(f"grid step must be positive and finite, got {self.step}")
         # The counts stay floats until they pass the guard: a span that
-        # overflows, or a tiny step, gives an infinite count.  The spans of
-        # finite, ordered bounds lie in [0, inf) unless they overflow, so
-        # one test admits them, and the bounds are checked one by one only
-        # when it fails.
-        with np.errstate(over="ignore", invalid="ignore"):
-            span = upper - lower
-            if np.count_nonzero((span >= 0) & (span < np.inf)) < span.size:
-                if not np.isfinite(lower).all() or not np.isfinite(upper).all():
-                    raise DomainError("grid bounds must be finite")
-                if (lower > upper).any():
-                    raise DomainError("grid lower bound exceeds upper bound")
-            if not 0 < self.step < np.inf:
-                raise DomainError(f"grid step must be positive and finite, got {self.step}")
-            counts = (np.floor(span / self.step + 1e-9) + 1).tolist()
+        # overflows, or a tiny step, gives an infinite count.
+        with np.errstate(over="ignore"):
+            counts = (np.floor((upper - lower) / self.step + 1e-9) + 1).tolist()
         total = math.prod(counts)
         if not total <= MAX_POINTS:
             raise GridGuardError(
@@ -190,9 +185,8 @@ def brute_force_min(
         return OracleResult(None, [], 0)
     best = float(fvals.max() if sf.minimize else fvals.min())
     hit = _kernels.nth_true(feas, _near_best(fvals, best, eps, sf))
-    # The argmins' coordinates from their grid indices, as the axes compute them.
-    coords = grid.lower[:, None] + grid.step * np.array(np.unravel_index(hit, grid._counts))
-    argmins = np.ascontiguousarray(coords.T)
+    index = np.unravel_index(hit, tuple(len(v) for v in axes))
+    argmins = np.stack([axes[i][k] for i, k in enumerate(index)], axis=1)
     return OracleResult(TropicalScalar(best, sf), list(argmins), int(fvals.size))
 
 

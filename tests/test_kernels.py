@@ -614,6 +614,28 @@ def test_grid_scan_memory_of_a_whole_box_is_one_slab(monkeypatch):
     f1, v1 = grid_scan(axes, B, g, h, p, qc, sf)
     assert f1.tobytes() == feas.tobytes() and v1.tobytes() == vals.tobytes()
 
+
+def test_grid_scan_memory_of_a_sparse_whole_box_is_one_slab():
+    # The box is the whole 100^3 grid and 5.9% of it is feasible, under one
+    # point in _GATHER, but the box is many slabs: the slabs bound the
+    # memory, where gathering the terms at the feasible points takes about
+    # 100 bytes each, 6.7 MB in all.
+    sf = t.MAX_TIMES
+    axes = [np.arange(1.0, 101.0)] * 3
+    B = np.full((3, 3), 0.76)
+    np.fill_diagonal(B, 0.5)
+    g, h = np.full(3, 1.0), np.full(3, 100.0)
+    p, qc = np.array([4.0, 2.0, 1.0]), np.array([4.0, 2.0, 1.0])
+    tracemalloc.start()
+    try:
+        feas, vals = grid_scan(axes, B, g, h, p, qc, sf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.size == feas.sum() == 58_720
+    assert _kernels._GATHER * vals.size <= feas.size
+    assert peak < 1 * 10**6 + 8 * vals.size + 16 * 128 * _CALL_ELEMENTS  # 4.0 MB measured
+
 def walk_by_products(a, heavy, sf):
     """:func:`walk_trace` as n - 1 products from ``matmul``, each into a new array."""
     n = a.shape[0]
