@@ -11,51 +11,45 @@ Library layout:
 * :mod:`tropt.probfile`  -- JSON problem files and reports;
 * :mod:`tropt.svg`       -- deterministic SVG plots;
 * :mod:`tropt.cli`       -- the ``tropt`` command.
+
+The names below are loaded on first access (PEP 562), so ``import tropt``
+and each command import only the modules they use.  A name is looked up
+in its module on every access and never stored here: whoever rebinds a
+module's attribute, and later restores it, sees the package follow.
 """
 
-from .errors import (
-    DimensionError,
-    DomainError,
-    GridGuardError,
-    ProblemFileError,
-    SemifieldMismatchError,
-    TroptError,
-)
-from .linalg import TropicalMatrix, identity, tmatrix, tvector, zeros
-from .location import (
-    LocationInstance,
-    LocationSolution,
-    build_pq,
-    chebyshev_distance,
-    closure_entries,
-    solve_location,
-    to_general_problem,
-)
-from .oracle import GridSpec, OracleResult, brute_force_min, default_grid, exact_min
-from .semifield import (
-    MAX_PLUS,
-    MAX_TIMES,
-    MIN_PLUS,
-    MIN_TIMES,
-    SEMIFIELDS,
-    Semifield,
-    TropicalScalar,
-    by_tag,
-)
-from .solve import (
-    InfeasibilityReport,
-    InfeasibleReason,
-    ProblemInstance,
-    SolutionSet,
-    contains,
-    objective,
-    problem,
-    solve_box_constrained,
-    solve_general,
-    solve_instance,
-    solve_linear_constrained,
-    solve_unconstrained,
-)
-from .systems import ConeSolution, Infeasible, UpperSolution, solve_ax_le_d, solve_ax_plus_b_le_x
+from importlib import import_module as _import_module
+
+_EXPORTS = {
+    "errors": ("DimensionError", "DomainError", "GridGuardError", "ProblemFileError",
+               "SemifieldMismatchError", "TroptError"),
+    "linalg": ("TropicalMatrix", "identity", "tmatrix", "tvector", "zeros"),
+    "location": ("LocationInstance", "LocationSolution", "build_pq", "chebyshev_distance",
+                 "closure_entries", "solve_location", "to_general_problem"),
+    "oracle": ("GridSpec", "OracleResult", "brute_force_min", "default_grid", "exact_min"),
+    "semifield": ("MAX_PLUS", "MAX_TIMES", "MIN_PLUS", "MIN_TIMES", "SEMIFIELDS", "Semifield",
+                  "TropicalScalar", "by_tag"),
+    "solve": ("InfeasibilityReport", "InfeasibleReason", "ProblemInstance", "SolutionSet",
+              "contains", "objective", "problem", "solve_box_constrained", "solve_general",
+              "solve_instance", "solve_linear_constrained", "solve_unconstrained"),
+    "systems": ("ConeSolution", "Infeasible", "UpperSolution", "solve_ax_le_d",
+                "solve_ax_plus_b_le_x"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# the exported names and the modules that hold them
+__all__ = sorted([*_HOME, *_EXPORTS])
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,16 +11,20 @@ import functools
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, GridGuardError, TroptError
 from .linalg import tmatrix
-from .oracle import GridSpec, _finite_data, brute_force_min, default_grid, exact_min
 from .probfile import dump_json, format_number, load_problem, report_dict, solve_parsed
 from .semifield import SEMIFIELDS
 from .solve import InfeasibilityReport, contains
-from .svg import render_svg
+
+# Every command imports what is above.  ``verify`` imports the oracle and
+# ``plot`` the SVG writer when they run, so ``solve`` loads neither.
+if TYPE_CHECKING:
+    from .oracle import GridSpec
 
 __all__ = ["main"]
 
@@ -111,6 +115,8 @@ def _grid(args, inst) -> GridSpec | None:
     does integer data at n <= 3 whose default grid passes the guard: the
     grid is exact there.  Every other file goes to the exact oracle.
     """
+    from .oracle import GridSpec, _finite_data, default_grid
+
     lo = _parse_bound(args.grid_lo, inst.n, "--grid-lo")
     hi = _parse_bound(args.grid_hi, inst.n, "--grid-hi")
     if (lo is None) != (hi is None):
@@ -129,6 +135,8 @@ def _grid(args, inst) -> GridSpec | None:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import brute_force_min, default_grid, exact_min
+
     parsed = load_problem(args.file, semifield_override=args.semifield)
     eps = _epsilon(args)
     inst = parsed.instance
@@ -184,6 +192,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .svg import render_svg
+
     parsed = load_problem(args.file, semifield_override=args.semifield)
     result = solve_parsed(parsed)
     if isinstance(result, InfeasibilityReport):

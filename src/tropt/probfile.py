@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ProblemFileError, TroptError
-from .location import LocationInstance, to_general_problem
 from .semifield import MAX_PLUS, SEMIFIELDS, by_tag
 from .solve import (
     InfeasibilityReport,
@@ -38,6 +38,9 @@ from .solve import (
     solve_linear_constrained,
     solve_unconstrained,
 )
+
+if TYPE_CHECKING:  # a location file imports it when it is parsed
+    from .location import LocationInstance
 
 __all__ = [
     "ParsedProblem",
@@ -123,8 +126,10 @@ def format_number(x: float) -> str:
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in list(obj)]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, float, np.floating, np.integer)):
@@ -184,6 +189,8 @@ def parse_problem(doc, *, semifield_override: str | None = None) -> ParsedProble
 
     try:
         if ptype == "location":
+            from .location import LocationInstance, to_general_problem
+
             pts = _matrix(doc["points"], "field 'points'")
             w = _vector(doc["weights"], "field 'weights'")
             if len(w) != len(pts):

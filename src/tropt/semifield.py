@@ -103,18 +103,23 @@ class Semifield:
                 raise DomainError(f"{self.tag}: value outside carrier")
 
     def _in_carrier(self, arr) -> bool:
-        """Whether every value lies in the carrier; NaN fails every comparison."""
+        """Whether every value lies in the carrier; NaN fails every comparison.
+
+        Flags are counted rather than reduced with ``all``: on the small
+        arrays of a solve, ``np.count_nonzero`` is the cheapest whole-array
+        test numpy offers, and the same holds in the predicates below.
+        """
         if self.times:
             inside = arr > 0 if self.minimize else (arr >= 0) & (arr < _INF)
         else:
             inside = arr > -_INF if self.minimize else arr < _INF
-        return bool(inside.all())
+        return np.count_nonzero(inside) == inside.size
 
     # -- the semifield operations ---------------------------------------
 
     def inv(self, a):
         """Multiplicative inverse; rejects the semifield zero."""
-        if np.any(a == self.zero):
+        if np.count_nonzero(a == self.zero):
             raise DomainError(f"{self.tag}: the semifield zero has no inverse")
         return np.divide(1.0, a) if self.times else np.negative(a)
 
@@ -146,7 +151,7 @@ class Semifield:
         if eps is None:
             eps = self.default_eps
         ok = self._asc(a) <= self._asc(b)
-        if eps == 0 or ok.all():
+        if eps == 0 or np.count_nonzero(ok) == ok.size:
             return ok
         return np.logical_or(ok, self._close(a, b, eps))
 
@@ -155,7 +160,7 @@ class Semifield:
         if eps is None:
             eps = self.default_eps
         same = np.asarray(a) == np.asarray(b)
-        if eps == 0 or same.all():
+        if eps == 0 or np.count_nonzero(same) == same.size:
             return same
         return np.logical_or(same, self._close(a, b, eps))
 

@@ -550,21 +550,92 @@ class TestParserReuse:
         assert self.run(capsys, "solve", str(PROBLEMS / "general.json")) == (0, expected)
 
 
+# ``python -m tropt.cli COMMAND FILE``, which also writes the names in
+# sys.modules at exit, as JSON, to the path given before COMMAND
+_RUN_CLI_AND_LIST_MODULES = """
+import atexit, json, runpy, sys
+path = sys.argv.pop(1)
+atexit.register(lambda: json.dump(sorted(sys.modules), open(path, "w")))
+runpy.run_module("tropt.cli", run_name="__main__", alter_sys=True)
+"""
+
+# modules a command must not load: each imports only what it runs
+_NOT_LOADED = {
+    "solve": {"tropt.oracle", "tropt.svg", "tropt.systems", "tropt.location"},
+    "verify": {"tropt.svg"},
+}
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
-def test_fresh_process_golden_output(command):
-    """``python -m tropt.cli`` in a new interpreter: the parser's first build."""
+def test_fresh_process_golden_output(command, tmp_path):
+    """``python -m tropt.cli`` in a new interpreter: the parser's first build,
+    and the modules the command loads."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.pop("TROPT_EPSILON", None)
+    listing = tmp_path / "modules.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "tropt.cli", command, str(PROBLEMS / "general.json")],
+        [sys.executable, "-c", _RUN_CLI_AND_LIST_MODULES, str(listing), command,
+         str(PROBLEMS / "general.json")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     expected = (GOLDEN / f"general.{command}.json").read_text(encoding="utf-8")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         GOLDEN_CODES[f"general {command}"], expected, ""
     )
+    loaded = set(json.loads(listing.read_text(encoding="utf-8")))
+    assert {"tropt.probfile", "tropt.solve", "tropt.semifield"} <= loaded
+    assert not loaded & _NOT_LOADED[command]
+
+
+# ``from tropt import *`` before the package loaded its names on first
+# access: every exported name, by the module that holds it, and the modules
+_PUBLIC = {
+    "errors": ["DimensionError", "DomainError", "GridGuardError", "ProblemFileError",
+               "SemifieldMismatchError", "TroptError"],
+    "linalg": ["TropicalMatrix", "identity", "tmatrix", "tvector", "zeros"],
+    "location": ["LocationInstance", "LocationSolution", "build_pq", "chebyshev_distance",
+                 "closure_entries", "solve_location", "to_general_problem"],
+    "oracle": ["GridSpec", "OracleResult", "brute_force_min", "default_grid", "exact_min"],
+    "semifield": ["MAX_PLUS", "MAX_TIMES", "MIN_PLUS", "MIN_TIMES", "SEMIFIELDS", "Semifield",
+                  "TropicalScalar", "by_tag"],
+    "solve": ["InfeasibilityReport", "InfeasibleReason", "ProblemInstance", "SolutionSet",
+              "contains", "objective", "problem", "solve_box_constrained", "solve_general",
+              "solve_instance", "solve_linear_constrained", "solve_unconstrained"],
+    "systems": ["ConeSolution", "Infeasible", "UpperSolution", "solve_ax_le_d",
+                "solve_ax_plus_b_le_x"],
+}
+
+
+def test_package_names_resolve_on_access(monkeypatch):
+    import importlib
+
+    public = {*_PUBLIC, *(name for names in _PUBLIC.values() for name in names)}
+    assert len(public) == 55
+    assert public <= set(dir(t))
+    star: dict = {}
+    exec("from tropt import *", star)
+    assert set(star) - {"__builtins__"} == public
+    for module, names in _PUBLIC.items():
+        home = importlib.import_module(f"tropt.{module}")
+        assert getattr(t, module) is home
+        for name in names:
+            assert getattr(t, name) is getattr(home, name)
+    # looked up on every access, never stored: a rebinding and its undo show through
+    assert "solve_general" not in vars(t)
+    stand_in = object()
+    monkeypatch.setattr(t.solve, "solve_general", stand_in)
+    assert t.solve_general is stand_in
+    monkeypatch.undo()
+    assert t.solve_general is t.solve.solve_general
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        t.no_such_name
+    with pytest.raises(ImportError):
+        exec("from tropt import no_such_name", {})
+    from tropt import _kernels
+
+    assert _kernels is importlib.import_module("tropt._kernels")
 
 
 def _svg_elements(text, cls):

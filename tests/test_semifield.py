@@ -214,6 +214,53 @@ class TestProperties:
             assert b.inv() <= a.inv() or a.eq(b, eps=1e-12)
 
 
+# The input forms a predicate meets: a Python float, a 0-d array, and one
+# entry of a 1x2 array whose other entry is the semifield one.
+_FORMS = {
+    "float": lambda sf, v: v,
+    "0-d": lambda sf, v: np.array(v),
+    "1x2": lambda sf, v: np.array([[sf.one, v]]),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+@pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
+def test_inv_rejects_the_zero_in_every_form(sf, form):
+    shaped = functools.partial(_FORMS[form], sf)
+    with pytest.raises(DomainError, match=f"^{sf.tag}: the semifield zero has no inverse$"):
+        sf.inv(shaped(sf.zero))
+    inv = sf.inv(shaped(4.0))
+    assert np.shape(inv) == np.shape(shaped(4.0))
+    assert np.array_equal(inv, shaped(0.25 if sf.times else -4.0))
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+@pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
+def test_leq_and_eq_in_every_form(sf, form):
+    """The all-true shortcut and the tolerant path give the same verdicts
+    on every form: ``near`` lies 1e-12 above ``hi`` in the order."""
+    shaped = functools.partial(_FORMS[form], sf)
+    lo, hi = (2.0, 1.0) if sf.minimize else (1.0, 2.0)
+    step = -1e-12 if sf.minimize else 1e-12
+    near = hi * (1 + step) if sf.times else hi + step
+
+    def verdict(pred, a, b, eps=None):
+        out = pred(shaped(a), shaped(b), eps)
+        assert np.shape(out) == np.shape(shaped(a))
+        return bool(np.all(out))
+
+    assert (verdict(sf.leq, lo, hi), verdict(sf.leq, hi, lo)) == (True, False)
+    assert (verdict(sf.leq, near, hi), verdict(sf.leq, near, hi, 0)) == (True, False)
+    assert (verdict(sf.eq, hi, hi, 0), verdict(sf.eq, lo, hi)) == (True, False)
+    assert (verdict(sf.eq, near, hi), verdict(sf.eq, near, hi, 0)) == (True, False)
+
+
+@pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
+def test_validate_accepts_an_empty_array(sf):
+    for empty in ([], np.array([]), np.empty((0, 3)), np.empty((2, 0))):
+        assert sf.validate(empty) is None
+
+
 def test_array_ops_match_scalar_ops():
     # The array forms the kernels use (elementwise, reduce and outer)
     # against TropicalScalar arithmetic, one element at a time.
