@@ -11,8 +11,8 @@ says how, and why the bits do not depend on it.
 (:func:`closure`) gives the star or the heavy pivots, the cheaper route
 gives the power trace (:func:`walk_trace` or :func:`power_factors`), and
 the trace is compared with one.  :func:`grid_scan` is the oracle's scan;
-it builds no point, and :func:`nth_true` finds the grid indices of the
-argmins among its flags.
+it builds no point and holds one flag per point of the box it scans, and
+:func:`nth_true` finds the box indices of the argmins among those flags.
 """
 
 from __future__ import annotations
@@ -302,7 +302,7 @@ def _fold(op, terms, shape):
 
 
 def grid_scan(axes, B, g, h, p, qc, sf):
-    """Feasibility of every point of the product grid, and the objective at the feasible ones.
+    """Feasibility of the points of the product grid, and the objective at the feasible ones.
 
     ``axes`` holds the n grid axes; the grid's points are all x with x_i in
     ``axes[i]``.  A point is feasible when ``B x <= x`` (semifield order)
@@ -310,9 +310,12 @@ def grid_scan(axes, B, g, h, p, qc, sf):
     constraint.  The objective is ``(+)_i inv(x_i) p_i (+) (+)_i qc_i x_i``,
     where qc is the conjugate of q.  Comparisons are exact (eps = 0);
     callers apply their tolerance policy when post-processing the values.
-    Returns ``(feas, vals)``: ``feas`` is flat over every point, and
-    ``vals`` holds the objective at the feasible points only; both are in
-    lexicographic (C) order of the points.
+    Returns ``(flags, (box, vals))``: ``box`` is one slice per axis, the
+    whole axes when no box is computed and None when nothing is feasible;
+    ``flags`` is flat over the box's points and ``vals`` holds the
+    objective at its feasible points, both in lexicographic (C) order.
+    The flags come first because the benchmark's tracer reads them as the
+    points scanned (``benchmarks/perf/tracer.py``).
 
     No point is built.  The axes are the rows of one array, padded with
     the semifield one, so that each step on one axis runs once for all n
@@ -324,10 +327,9 @@ def grid_scan(axes, B, g, h, p, qc, sf):
 
     A point outside the box of :func:`_box` fails some table, so the flags
     and the objective are computed over that box only, from sliced views
-    of the axes and the tables, and every point outside it is infeasible.
-    Finding the box costs about 16 kernel calls, more than one pass over a
-    grid of fewer than ``16 * _CALL_ELEMENTS`` points, so such grids are
-    scanned whole.
+    of the axes and the tables.  Finding the box costs about 16 kernel
+    calls, more than a pass over a grid of under ``16 * _CALL_ELEMENTS``
+    points, so such grids are scanned whole, as are unconstrained ones.
 
     The objective is a sum of 2n terms that each live on one axis.  A run
     of n - 1 consecutive terms spans n - 1 axes, so the terms are summed
@@ -349,7 +351,7 @@ def grid_scan(axes, B, g, h, p, qc, sf):
     has its terms gathered at the feasible points instead, and summed
     there in the same runs, so each value is the same reduction of the
     same terms; counting the flags to decide costs about 2% of a pass.
-    Gathering holds a flat index, n grid indices and 2n terms, about
+    Gathering holds a flat index, n box indices and 2n terms, about
     100 bytes at n = 3, per feasible point: less than the pass over the
     slab it replaces.
     """
@@ -360,23 +362,23 @@ def grid_scan(axes, B, g, h, p, qc, sf):
         X[i, :shape[i]] = v
     tables = _tables(X, shape, B, g, h, sf)
 
-    inner, size, cut = shape, math.prod(shape), tuple(slice(c) for c in shape)
-    if tables and size >= 16 * _CALL_ELEMENTS:
+    box = tuple(slice(0, c) for c in shape)
+    if tables and math.prod(shape) >= 16 * _CALL_ELEMENTS:
         box = _box(tables, shape)
         if box is None:
-            return np.zeros(size, dtype=np.bool_), np.empty(0)
-        inner = tuple(s.stop - s.start for s in box)
-        if inner != shape:
-            cut = box
-            tables = {key: _cut(v, box) for key, v in tables.items()}
+            return np.empty(0, dtype=np.bool_), (None, np.empty(0))
+        # a table is cut on its own axes and broadcasts, length 1, over the others
+        tables = {key: v[tuple(s if d > 1 else slice(None) for s, d in zip(box, v.shape))]
+                  for key, v in tables.items()}
+    inner = tuple(s.stop - s.start for s in box)
     flags = _fold(np.logical_and, list(tables.values()) or [np.ones(inner, dtype=np.bool_)], inner)
 
     # Term t lies along axis i = t % n, cut to the box: inv(x_i) p_i for t < n, then qc_i x_i.
     inv = np.divide(1.0, X) if sf.times else np.negative(X)
-    lines = [r[i, c] for r in (sf.mul(inv, p[:, None]), sf.mul(qc[:, None], X))
-             for i, c in enumerate(cut)]
+    lines = [r[i, s] for r in (sf.mul(inv, p[:, None]), sf.mul(qc[:, None], X))
+             for i, s in enumerate(box)]
     count = np.count_nonzero(flags)
-    rows = max(1, 128 * _CALL_ELEMENTS * inner[0] // math.prod(inner))
+    rows = max(1, 128 * _CALL_ELEMENTS * inner[0] // flags.size)
     gather = rows >= inner[0] and _GATHER * count <= flags.size
     if gather:
         at = np.unravel_index(np.flatnonzero(flags), inner)
@@ -397,11 +399,7 @@ def grid_scan(axes, B, g, h, p, qc, sf):
             vals[at:at + k] = _fold(sf.add, [r[a:a + rows] if len(r) > 1 else r for r in runs],
                                     part.shape)[part.ravel()]
             at += k
-    if inner == shape:
-        return flags, vals
-    feas = np.zeros(shape, dtype=np.bool_)
-    feas[box] = flags.reshape(inner)
-    return feas.ravel(), vals
+    return flags, (box, vals)
 
 
 def _tables(X, shape, B, g, h, sf):
@@ -411,9 +409,9 @@ def _tables(X, shape, B, g, h, sf):
     grid and has length 1 along the others.  The conditions on one axis,
     ``g_i <= x_i``, ``x_i <= h_i`` and ``b_ii x_i <= x_i``, are one
     comparison each over every axis.  With B present at n >= 2 each pair
-    of axes i > j has a table, ``b_ij x_j <= x_i`` and ``b_ji x_i <= x_j``,
-    and the conditions on axis i join the first pair on it while that
-    table is small; otherwise they form a table (i, i) per axis.
+    of axes i > j has a table, ``b_ij x_j <= x_i`` and ``b_ji x_i <= x_j``;
+    the conditions on axis i join the pair (i, 0), and those on axis 0 the
+    pair (1, 0).  Without B, or at n = 1, they form a table (i, i) per axis.
     """
     n = len(shape)
     leq = np.greater_equal if sf.minimize else np.less_equal  # the semifield order
@@ -450,6 +448,7 @@ def _tables(X, shape, B, g, h, sf):
 def nth_true(flags, ranks):
     """``np.flatnonzero(flags)[ranks]`` for sorted ``ranks``, without an index for every true flag.
 
+    On the flags of :func:`grid_scan` these are flat indices into its box.
     More than ``128 * _CALL_ELEMENTS`` flags, the size of a slab of
     :func:`grid_scan`, are counted in chunks of that many, and only the
     chunks that hold a wanted rank are indexed.
@@ -493,7 +492,3 @@ def _box(tables, shape):
         box.append(slice(int(hit[0]), int(hit[-1]) + 1))
     return tuple(box)
 
-
-def _cut(a, box):
-    """The view of ``a`` inside ``box``; ``a`` broadcasts over the axes where its length is 1."""
-    return a[tuple(s if d > 1 else slice(None) for s, d in zip(box, a.shape))]

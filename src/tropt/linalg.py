@@ -130,7 +130,9 @@ class TropicalMatrix:
 
     def is_regular(self) -> bool:
         """True for a vector with no zero components."""
-        return not (self.column_values() == self.sf.zero).any()
+        if not (self.is_column or self.is_row):
+            raise DimensionError(f"not a vector: shape {self.shape}")
+        return not np.count_nonzero(self.data == self.sf.zero)
 
     def is_column_regular(self) -> bool:
         return bool((self.data != self.sf.zero).any(axis=0).all())

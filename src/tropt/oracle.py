@@ -161,10 +161,11 @@ def brute_force_min(
 
     The grid is scanned from its axes (:func:`_kernels.grid_scan`), without
     building a point; the axes are validated, which checks every value a
-    point can hold.  Memory is O(N) for N points: a feasibility flag per
-    point and a value per feasible point, with the scan's slab on top; the
-    tolerance test of the values near the best only (:func:`_near_best`),
-    and grid indices for the argmins only (:func:`_kernels.nth_true`).
+    point can hold.  Memory is O(N) for the N points of the scanned box: a
+    flag per box point and a value per feasible point, with the scan's slab
+    on top; the tolerance test of the values near the best only
+    (:func:`_near_best`), and box indices for the argmins only
+    (:func:`_kernels.nth_true`), read on the axes cut to the box.
     """
     sf = inst.sf
     if inst.n > 3:
@@ -180,9 +181,10 @@ def brute_force_min(
 
     axes = grid.axes()
     sf.validate(np.concatenate(axes))
-    feas, fvals = _kernels.grid_scan(axes, B, g, h, inst.p.data[:, 0], qc, sf)
+    feas, (box, fvals) = _kernels.grid_scan(axes, B, g, h, inst.p.data[:, 0], qc, sf)
     if fvals.size == 0:
         return OracleResult(None, [], 0)
+    axes = [v[s] for v, s in zip(axes, box)]
     best = float(fvals.max() if sf.minimize else fvals.min())
     hit = _kernels.nth_true(feas, _near_best(fvals, best, eps, sf))
     index = np.unravel_index(hit, tuple(len(v) for v in axes))

@@ -168,6 +168,23 @@ def grid_scan_stepwise(X, B, g, h, p, qc, sf):
     return feas, obj
 
 
+def scan_on_grid(axes, *args):
+    """:func:`grid_scan` on ``axes``, its flags of the box put back into the whole grid.
+
+    Returns the flags of every grid point, flat and in C order, and the
+    values; a point outside the box is infeasible.  Checks that the flags
+    cover the box, and that there are none when the box is None.
+    """
+    flags, (box, vals) = grid_scan(axes, *args)
+    feas = np.zeros([len(v) for v in axes], dtype=np.bool_)
+    if box is None:
+        assert flags.size == vals.size == 0
+    else:
+        assert flags.size == feas[box].size
+        feas[box] = flags.reshape(feas[box].shape)
+    return feas.ravel(), vals
+
+
 def product_points(axes):
     """Every point of the grid over ``axes``, one per row, in lexicographic order."""
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -342,7 +359,7 @@ def _variant_cases(sf, rng):
 def test_grid_scan_variants_agree(sf):
     # Every point of each product grid of _variant_cases against the loop, by bytes.
     for axes, X, args in _variant_cases(sf, np.random.default_rng(63)):
-        f1, v1 = grid_scan(axes, *args)
+        f1, v1 = scan_on_grid(axes, *args)
         f2, v2 = grid_scan_loop(X, *args)
         assert f1.tobytes() == f2.tobytes()
         assert v1.tobytes() == v2[f2].tobytes()
@@ -361,7 +378,7 @@ def test_grid_scan_gathers_the_same_bits(sf, monkeypatch):
         cases = [(grid_scan_loop, c) for c in _variant_cases(sf, np.random.default_rng(63))]
         cases += [(grid_scan_stepwise, c) for c in _box_path_cases(sf, np.random.default_rng(74))]
         for reference, (axes, X, args) in cases:
-            f1, v1 = grid_scan(axes, *args)
+            f1, v1 = scan_on_grid(axes, *args)
             f2, v2 = reference(X, *args)
             assert f1.tobytes() == f2.tobytes()
             assert v1.tobytes() == v2[f2].tobytes()
@@ -377,7 +394,7 @@ def test_grid_scan_signed_zero_tie_goes_to_the_later_term():
     sf = t.MIN_PLUS
     axes = [np.array([0.0, 1.0]), np.array([0.0])]
     p, qc = np.array([3.0, -0.0]), np.array([-0.0, 2.0])
-    feas, vals = grid_scan(axes, None, None, None, p, qc, sf)
+    feas, vals = scan_on_grid(axes, None, None, None, p, qc, sf)
     assert feas.tolist() == [True, True]
     assert vals.tobytes() == np.array([0.0, -0.0]).tobytes()
     f2, v2 = grid_scan_loop(product_points(axes), None, None, None, p, qc, sf)
@@ -482,7 +499,7 @@ def test_grid_scan_box_path_agrees(sf, monkeypatch):
 
     monkeypatch.setattr(_kernels, "_box", spy)
     for axes, X, args in _box_path_cases(sf, np.random.default_rng(74)):
-        f1, v1 = grid_scan(axes, *args)
+        f1, v1 = scan_on_grid(axes, *args)
         f2, v2 = grid_scan_stepwise(X, *args)
         assert f1.tobytes() == f2.tobytes()
         assert v1.tobytes() == v2[f2].tobytes()
@@ -507,7 +524,7 @@ def test_grid_scan_in_slabs_agrees(sf, monkeypatch):
 
     monkeypatch.setattr(_kernels, "_box", spy)
     for axes, X, args in _box_path_cases(sf, np.random.default_rng(77)):
-        f1, v1 = grid_scan(axes, *args)
+        f1, v1 = scan_on_grid(axes, *args)
         f2, v2 = grid_scan_stepwise(X, *args)
         assert f1.tobytes() == f2.tobytes()
         assert v1.tobytes() == v2[f2].tobytes()
@@ -572,7 +589,7 @@ def test_box_is_none_exactly_when_an_axis_has_no_supported_value():
 
 def test_grid_scan_memory_is_one_flag_per_point_and_one_value_per_box_and_feasible_point():
     # g and h leave the box 89^3 of the 100^3 points, and 46% of the grid
-    # is feasible.
+    # is feasible.  The flags cover the box only.
     sf = t.MAX_TIMES
     axes = [np.arange(1.0, 101.0)] * 3
     B = np.array([[0.5, 0.25, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.4]])
@@ -580,20 +597,20 @@ def test_grid_scan_memory_is_one_flag_per_point_and_one_value_per_box_and_feasib
     p, qc = np.array([4.0, 2.0, 1.0]), np.array([4.0, 2.0, 1.0])
     tracemalloc.start()
     try:
-        feas, vals = grid_scan(axes, B, g, h, p, qc, sf)
+        feas, (box, vals) = grid_scan(axes, B, g, h, p, qc, sf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert feas.size == 10**6 and vals.size == feas.sum() == 462_189
-    # 1 byte a point, 9 bytes a box point and 8 bytes a feasible point: 11.0 MB
-    assert peak < 1 * 10**6 + 9 * 89**3 + 8 * vals.size
-
+    assert box == (slice(1, 90),) * 3
+    assert feas.size == 89**3 and vals.size == feas.sum() == 462_189
+    # a flag and 9 bytes a box point, and 8 bytes a feasible point: 10.8 MB (8.3 MB measured)
+    assert peak < 1 * 89**3 + 9 * 89**3 + 8 * vals.size
 
 
 def test_grid_scan_memory_of_a_whole_box_is_one_slab(monkeypatch):
     # The box is the whole 100^3 grid and 63% of it is feasible.  The
     # objective is summed in slabs of at most 128 * _CALL_ELEMENTS points,
-    # so the scan holds a flag a point, a value a feasible point, and one
+    # so the scan holds a flag a box point, a value a feasible point, and one
     # slab's sums and feasible values: 10.3 MB, where one pass over the
     # grid holds 8 bytes a point more.  The slabs give the bytes of that
     # one pass, taken with the box step and the slabs turned off.
@@ -604,15 +621,16 @@ def test_grid_scan_memory_of_a_whole_box_is_one_slab(monkeypatch):
     p, qc = np.array([4.0, 2.0, 1.0]), np.array([4.0, 2.0, 1.0])
     tracemalloc.start()
     try:
-        feas, vals = grid_scan(axes, B, g, h, p, qc, sf)
+        feas, (box, vals) = grid_scan(axes, B, g, h, p, qc, sf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert box == (slice(0, 100),) * 3
     assert vals.size == feas.sum() == 632_830
-    assert peak < 1 * 10**6 + 8 * vals.size + 16 * 128 * _CALL_ELEMENTS
+    assert peak < 1 * feas.size + 8 * vals.size + 16 * 128 * _CALL_ELEMENTS
     monkeypatch.setattr(_kernels, "_CALL_ELEMENTS", 10**6)
-    f1, v1 = grid_scan(axes, B, g, h, p, qc, sf)
-    assert f1.tobytes() == feas.tobytes() and v1.tobytes() == vals.tobytes()
+    f1, (b1, v1) = grid_scan(axes, B, g, h, p, qc, sf)
+    assert b1 == box and f1.tobytes() == feas.tobytes() and v1.tobytes() == vals.tobytes()
 
 
 def test_grid_scan_memory_of_a_sparse_whole_box_is_one_slab():
@@ -628,13 +646,15 @@ def test_grid_scan_memory_of_a_sparse_whole_box_is_one_slab():
     p, qc = np.array([4.0, 2.0, 1.0]), np.array([4.0, 2.0, 1.0])
     tracemalloc.start()
     try:
-        feas, vals = grid_scan(axes, B, g, h, p, qc, sf)
+        feas, (box, vals) = grid_scan(axes, B, g, h, p, qc, sf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert box == (slice(0, 100),) * 3
     assert vals.size == feas.sum() == 58_720
     assert _kernels._GATHER * vals.size <= feas.size
-    assert peak < 1 * 10**6 + 8 * vals.size + 16 * 128 * _CALL_ELEMENTS  # 4.0 MB measured
+    assert peak < 1 * feas.size + 8 * vals.size + 16 * 128 * _CALL_ELEMENTS  # 4.0 MB measured
+
 
 def walk_by_products(a, heavy, sf):
     """:func:`walk_trace` as n - 1 products from ``matmul``, each into a new array."""

@@ -103,6 +103,10 @@ class TestBasicOps:
     def test_regularity(self, mp):
         assert t.tvector(mp, [3, 14]).is_regular()
         assert not t.tvector(mp, [2, mp.zero]).is_regular()
+        assert t.tmatrix(mp, [[3, 14]]).is_regular()  # a row
+        assert not t.tmatrix(mp, [[mp.zero, 14]]).is_regular()
+        with pytest.raises(DimensionError, match="not a vector"):
+            t.tmatrix(mp, [[1, 2], [3, 4]]).is_regular()
         z = t.zeros(mp, 2, 2)
         assert not z.is_column_regular()
         a = t.tmatrix(mp, [[1, mp.zero], [mp.zero, 2]])

@@ -359,9 +359,8 @@ def _traced_peak(inst, grid):
 
 def test_scan_memory_follows_the_box_and_the_feasible_points():
     # 100^3 points, of which g and h leave a box of 89^3 and 46% are
-    # feasible: a flag per point and a box point, a value per feasible
-    # point, and one slab of the box.  A value and a flag per point would
-    # take 12.7 MB.
+    # feasible: a flag per box point, a value per feasible point, and one
+    # slab of the box.  A value and a flag per point would take 12.7 MB.
     res, peak = _traced_peak(*_memory_instance(2.0, 90.0))
     assert res.feasible_count == 462_189
     assert peak < 11.5e6  # 8.4 MB measured
@@ -369,10 +368,10 @@ def test_scan_memory_follows_the_box_and_the_feasible_points():
 
 def test_scan_memory_of_a_narrow_box():
     # The same grid with g = 40 and h = 60: the box is 21^3 points.  A value
-    # and a flag per point would take 9.5 MB.
+    # and a flag per point would take 9.5 MB, a flag per point alone 1.0 MB.
     res, peak = _traced_peak(*_memory_instance(40.0, 60.0))
     assert res.feasible_count == 9261
-    assert peak < 2e6  # 1.2 MB measured
+    assert peak < 0.5e6  # 0.27 MB measured
 
 
 SEMIFIELDS = [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES]
