@@ -135,10 +135,11 @@ class TropicalMatrix:
         return not np.count_nonzero(self.data == self.sf.zero)
 
     def is_column_regular(self) -> bool:
-        return bool((self.data != self.sf.zero).any(axis=0).all())
+        """True when no column is all zero: every column's sum is non-zero."""
+        return not np.count_nonzero(self.sf.add.reduce(self.data, axis=0) == self.sf.zero)
 
     def is_zero(self) -> bool:
-        return bool((self.data == self.sf.zero).all())
+        return not np.count_nonzero(self.data != self.sf.zero)
 
     def leq(self, other: "TropicalMatrix", eps: float | None = None) -> bool:
         """Entrywise order comparison in the induced order."""

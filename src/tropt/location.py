@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import tmatrix, tvector
+from .linalg import TropicalMatrix
 from .semifield import MAX_PLUS
 from .solve import InfeasibleReason, InfeasibilityReport, ProblemInstance
 
@@ -123,16 +123,20 @@ def to_general_problem(inst: LocationInstance) -> ProblemInstance:
     """The equivalent max-plus instance of the combined-constraints problem.
 
     Its objective at any x equals max_j (w_j + chebyshev_distance(r_j, x)).
+    The instance has checked B, g and h, so they are wrapped as trusted; p
+    and q, whose sums can overflow, are checked in one call.
     """
     p, q = build_pq(inst.points, inst.weights)
+    MAX_PLUS.validate(np.concatenate((p, q)))
+    wrap = lambda v: TropicalMatrix(MAX_PLUS, v, _trusted=True)
     g = None
-    if inst.g is not None and not np.isneginf(inst.g).all():
-        g = tvector(MAX_PLUS, inst.g)
-    h = None if inst.h is None else tvector(MAX_PLUS, inst.h)
+    if inst.g is not None and np.count_nonzero(inst.g != _NEG_INF):
+        g = wrap(inst.g)
+    h = None if inst.h is None else wrap(inst.h)
     B = None
-    if inst.B is not None and not np.isneginf(inst.B).all():
-        B = tmatrix(MAX_PLUS, inst.B)
-    return ProblemInstance(MAX_PLUS, tvector(MAX_PLUS, p), tvector(MAX_PLUS, q), g=g, h=h, B=B)
+    if inst.B is not None and np.count_nonzero(inst.B != _NEG_INF):
+        B = wrap(inst.B)
+    return ProblemInstance(MAX_PLUS, wrap(p), wrap(q), g=g, h=h, B=B)
 
 
 def _maxplus_power(a: np.ndarray, b: np.ndarray) -> np.ndarray:

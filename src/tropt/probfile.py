@@ -73,12 +73,13 @@ class ParsedProblem:
 # ---------------------------------------------------------------------------
 
 
+_INFINITIES = {"-inf": float("-inf"), "+inf": float("inf")}
+
+
 def _to_number(raw, where: str) -> float:
     if isinstance(raw, str):
-        if raw == "-inf":
-            return float("-inf")
-        if raw == "+inf":
-            return float("inf")
+        if raw in _INFINITIES:
+            return _INFINITIES[raw]
         raise ProblemFileError(f"{where}: expected a number or \"-inf\"/\"+inf\", got {raw!r}")
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ProblemFileError(f"{where}: expected a number, got {type(raw).__name__}")
@@ -86,9 +87,15 @@ def _to_number(raw, where: str) -> float:
 
 
 def _vector(raw, where: str) -> list[float]:
+    """The entries of a non-empty array as floats, in one pass when all are
+    well formed; the per-entry pass of :func:`_to_number` runs only to name
+    the first bad one."""
     if not isinstance(raw, list) or not raw:
         raise ProblemFileError(f"{where}: expected a non-empty array")
-    return [_to_number(v, f"{where}[{i}]") for i, v in enumerate(raw)]
+    try:  # a bool is neither int nor float here, and no key of _INFINITIES
+        return [float(v) if type(v) in (int, float) else _INFINITIES[v] for v in raw]
+    except (KeyError, TypeError):
+        return [_to_number(v, f"{where}[{i}]") for i, v in enumerate(raw)]
 
 
 def _matrix(raw, where: str) -> list[list[float]]:

@@ -80,9 +80,12 @@ class Semifield:
     def validate(self, values) -> None:
         """Raise DomainError if any value lies outside the carrier.
 
-        Valid input costs one comparison pass; the branches below run only
-        to name what is wrong.
+        Valid input costs one comparison pass, and a Python float (or
+        ``np.float64``) one plain comparison, with no array built; the
+        branches below run only to name what is wrong.
         """
+        if isinstance(values, float) and self._float_in_carrier(values):
+            return
         arr = np.asarray(values, dtype=np.float64)
         if self._in_carrier(arr):
             return
@@ -115,6 +118,12 @@ class Semifield:
             inside = arr > -_INF if self.minimize else arr < _INF
         return np.count_nonzero(inside) == inside.size
 
+    def _float_in_carrier(self, v: float) -> bool:
+        """:meth:`_in_carrier` for one float, by plain comparisons."""
+        if self.minimize:
+            return v > (0.0 if self.times else -_INF)
+        return self.zero <= v < _INF
+
     # -- the semifield operations ---------------------------------------
 
     def inv(self, a):
@@ -146,10 +155,14 @@ class Semifield:
     def leq(self, a, b, eps: float | None = None):
         """a <= b in the induced order, up to the tolerance of :meth:`_close`.
 
-        eps defaults to ``default_eps``; 0 compares exactly.
+        eps defaults to ``default_eps``; 0 compares exactly.  Two floats
+        that compare true exactly are decided with no array built, to the
+        same ``np.bool_``.
         """
         if eps is None:
             eps = self.default_eps
+        if isinstance(a, float) and isinstance(b, float) and (b <= a if self.minimize else a <= b):
+            return np.True_
         ok = self._asc(a) <= self._asc(b)
         if eps == 0 or np.count_nonzero(ok) == ok.size:
             return ok

@@ -203,9 +203,13 @@ def _solve(B, p, q, g, h) -> SolutionSet | InfeasibilityReport:
             return InfeasibilityReport(InfeasibleReason.TR_EXCEEDS_ONE, sf.scalar(trace))
         gen = TropicalMatrix(sf, bstar, _trusted=True)
 
-    qc = sf.inv(q.data.T)
-    hc = np.full_like(qc, sf.zero) if h is None else sf.inv(h.data.T)
-    rows = np.concatenate((qc, hc))  # conj(q) and conj(h), or that times B*
+    # The rows conj(q) and conj(h), or those times B*.  Every solver has
+    # proved q and h regular, so they are inverted raw.
+    rows = q.data.T if h is None else np.concatenate((q.data.T, h.data.T))
+    rows = np.divide(1.0, rows) if sf.times else np.negative(rows)
+    if h is None:
+        rows = np.concatenate((rows, np.full_like(rows, sf.zero)))
+    qc, hc = rows[:1], rows[1:]
     if bstar is not None:
         rows = _kernels.matmul(rows, bstar, sf)
     cols = np.concatenate((p.data, np.full_like(p.data, sf.zero) if g is None else g.data), axis=1)
@@ -215,9 +219,9 @@ def _solve(B, p, q, g, h) -> SolutionSet | InfeasibilityReport:
     if not sf.leq(box, sf.one):
         return InfeasibilityReport(InfeasibleReason.BOUNDS_INCOMPATIBLE, sf.scalar(box))
 
-    # Results go through their checking constructors as soon as they are
-    # known: in the times semifields a product of carrier values can
-    # overflow to +inf or underflow to 0.0.
+    # Each result is checked in the carrier once, as soon as it is known: in
+    # the times semifields a product of carrier values can overflow to +inf
+    # or underflow to 0.0.
     theta = sf.scalar(sf.add(sf.add(sf.sqrt(terms[0, 0]), terms[1, 0]), terms[0, 1]))
     theta_inv = sf.inv(theta.value)
     lo = sf.mul(theta_inv, p.data)
@@ -233,10 +237,14 @@ def _solve(B, p, q, g, h) -> SolutionSet | InfeasibilityReport:
 def _finish(sf, theta, gen, u) -> SolutionSet:
     """Wrap the u-box ends (the columns of u) and their images under gen.
 
-    gen is B*, or None for the identity, whose images are u itself.
+    gen is B*, or None for the identity, whose images are u itself.  The
+    box and its images are each checked in the carrier in one call, so
+    their columns are wrapped as trusted.
     """
-    u_lo, u_hi = (TropicalMatrix(sf, u[:, k]) for k in (0, 1))
-    if not sf.leq(u[:, 0], u[:, 1]).all():
+    sf.validate(u)
+    u_lo, u_hi = (TropicalMatrix(sf, u[:, k], _trusted=True) for k in (0, 1))
+    ordered = sf.leq(u[:, 0], u[:, 1])
+    if np.count_nonzero(ordered) != ordered.size:
         # The feasibility checks above rule this out mathematically; a
         # violation here means float drift, which must not pass silently.
         raise TroptError(
@@ -245,7 +253,8 @@ def _finish(sf, theta, gen, u) -> SolutionSet:
     if gen is None:
         return SolutionSet(theta, identity(sf, u.shape[0]), u_lo, u_hi, u_lo, u_hi)
     x = _kernels.matmul(gen.data, u, sf)
-    x_lo, x_hi = (TropicalMatrix(sf, x[:, k]) for k in (0, 1))
+    sf.validate(x)
+    x_lo, x_hi = (TropicalMatrix(sf, x[:, k], _trusted=True) for k in (0, 1))
     return SolutionSet(theta, gen, u_lo, u_hi, x_lo, x_hi)
 
 

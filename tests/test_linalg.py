@@ -114,6 +114,25 @@ class TestBasicOps:
 
 
 @pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
+def test_zero_and_column_regular_flags(sf):
+    # is_zero: no entry other than the zero; is_column_regular: no column
+    # of zeros.  A row vector, a matrix and the all-zero vector, each
+    # against the definition entry by entry.
+    z = sf.zero
+    zeros = [z, -0.0] if sf is t.MAX_TIMES else [z]  # -0.0 is max-times' zero too
+    cases = [
+        [[1.0, z, 2.0]], [[z, z, z]], [[z, 1.0]],
+        [[1.0, z], [z, 2.0]], [[z, z], [2.0, z]], [[z, 1.0], [z, z], [4.0, z]],
+        [[z], [z], [z]], [[zeros[-1]], [z]], [[zeros[-1], z], [z, 4.0]],
+    ]
+    for rows in cases:
+        m = t.tmatrix(sf, rows)
+        is_zero = [[v in zeros for v in row] for row in rows]
+        assert m.is_zero() is all(map(all, is_zero))
+        assert m.is_column_regular() is all(not all(col) for col in zip(*is_zero))
+
+
+@pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
 class TestVectorIdentities:
     def test_conj_product_identities(self, sf):
         rng = np.random.default_rng(11)

@@ -124,6 +124,15 @@ class TestReduction:
         gen = t.to_general_problem(inst)
         assert gen.B is None and gen.g is None and gen.h is None
 
+    @pytest.mark.parametrize("weight", [1e308, -1e308], ids=["p", "q"])
+    def test_a_corner_that_overflows_is_rejected(self, weight):
+        # Finite points and weights can sum past the floats: p = r + w, or
+        # q = r - w, reaches +inf, which is no max-plus value.
+        inst = t.LocationInstance(np.array([[1e308, 0.0]]), np.array([weight]))
+        with np.errstate(over="ignore"), pytest.raises(
+                DomainError, match="^max-plus: value outside carrier$"):
+            t.to_general_problem(inst)
+
 
 class TestSolveLocation:
     def _constrained(self):

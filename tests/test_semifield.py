@@ -214,10 +214,12 @@ class TestProperties:
             assert b.inv() <= a.inv() or a.eq(b, eps=1e-12)
 
 
-# The input forms a predicate meets: a Python float, a 0-d array, and one
-# entry of a 1x2 array whose other entry is the semifield one.
+# The input forms a predicate meets: a Python float, an np.float64 (what
+# indexing an array gives), a 0-d array, and one entry of a 1x2 array whose
+# other entry is the semifield one.
 _FORMS = {
     "float": lambda sf, v: v,
+    "float64": lambda sf, v: np.float64(v),
     "0-d": lambda sf, v: np.array(v),
     "1x2": lambda sf, v: np.array([[sf.one, v]]),
 }
@@ -253,6 +255,37 @@ def test_leq_and_eq_in_every_form(sf, form):
     assert (verdict(sf.leq, near, hi), verdict(sf.leq, near, hi, 0)) == (True, False)
     assert (verdict(sf.eq, hi, hi, 0), verdict(sf.eq, lo, hi)) == (True, False)
     assert (verdict(sf.eq, near, hi), verdict(sf.eq, near, hi, 0)) == (True, False)
+
+
+# Scalars at the edges of every carrier: NaN, both infinities, both zeros.
+_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 0.5, 1.0, 2.0, 1e300]
+
+
+def _validate_outcome(sf, value):
+    try:
+        return sf.validate(value)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)
+def test_scalars_get_the_verdicts_of_a_one_element_array(sf):
+    """A Python float or an np.float64 gets the verdict of the same value in
+    a 1-element array from validate, leq and eq, as an np.bool_, and
+    validate's error message."""
+    for a in _EDGES:
+        outcome = _validate_outcome(sf, np.array([a]))
+        if math.isnan(a) or a in (0.5, 1.0, 2.0, sf.zero):  # NaN is in no carrier, these in every one
+            assert (outcome is None) is not math.isnan(a)
+        for scalar in (a, np.float64(a)):
+            assert _validate_outcome(sf, scalar) == outcome
+        for b in _EDGES:
+            for eps in (None, 0, 1e-9):
+                for pred in (sf.leq, sf.eq):
+                    want = pred(np.array([a]), np.array([b]), eps)[0]
+                    for x, y in ((a, b), (np.float64(a), np.float64(b))):
+                        got = pred(x, y, eps)
+                        assert type(got) is np.bool_ and got == want, (pred, x, y, eps)
 
 
 @pytest.mark.parametrize("sf", ALL, ids=lambda sf: sf.tag)

@@ -369,8 +369,9 @@ def test_wrappers_specialize_general_in_every_semifield(sf):
 
 def test_small_solve_checks_only_its_results(worked, monkeypatch):
     # Inputs are validated when they are built.  A solve checks the carrier
-    # of its results only: theta and the four box ends.  It builds only B*
-    # and those box ends, and needs only the vector products.
+    # of its results only, once per block: theta, the u-box and its image.
+    # It builds only B* and the four box ends, and needs only the vector
+    # products.
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -386,7 +387,7 @@ def test_small_solve_checks_only_its_results(worked, monkeypatch):
     p, q, g, h, B = (worked[k] for k in "pqghB")
     sol = t.solve_general(B, p, q, g, h)
     assert sol.theta.value == 14
-    assert counts["validate"] == 5
+    assert counts["validate"] == 3
     assert counts["construct"] == 5
     assert counts["matmul"] <= 4
     assert counts["closure"] == 1
@@ -399,6 +400,17 @@ def test_small_solve_checks_only_its_results(worked, monkeypatch):
     assert isinstance(t.solve_unconstrained(p, q), t.SolutionSet)
     assert isinstance(t.solve_box_constrained(p, q, g, h), t.SolutionSet)
     assert counts["closure"] == 0
+
+
+@pytest.mark.parametrize("sf, p, q", [(t.MAX_TIMES, 1e-300, 1e300), (t.MIN_TIMES, 1e300, 1e-300)],
+                         ids=["max-times", "min-times"])
+def test_a_theta_at_the_zero_has_no_inverse(sf, p, q):
+    # conj(q) p leaves the floats: it underflows to max-times' zero 0.0, or
+    # overflows to min-times' zero +inf, and theta, its square root, with
+    # it.  theta is in the carrier, but the box needs its inverse.
+    message = f"^{sf.tag}: the semifield zero has no inverse$"
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match=message):
+        t.solve_unconstrained(t.tvector(sf, [p]), t.tvector(sf, [q]))
 
 
 def test_mixed_draws_stop_at_the_size_limit():
