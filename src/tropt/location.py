@@ -53,6 +53,12 @@ def build_pq(points, weights):
     return p, q
 
 
+def _frozen_copy(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class LocationInstance:
     """Demand points with weights, plus the optional constraint data.
@@ -68,8 +74,11 @@ class LocationInstance:
     h: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
+        # Every array is kept as a read-only copy, so the checks below hold
+        # for as long as the instance lives, whatever the caller does to
+        # the arrays it passed in.
+        pts = _frozen_copy(self.points)
+        w = _frozen_copy(self.weights)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -83,7 +92,7 @@ class LocationInstance:
             v = getattr(self, name)
             if v is None:
                 continue
-            arr = np.asarray(v, dtype=np.float64)
+            arr = _frozen_copy(v)
             object.__setattr__(self, name, arr)
             if arr.shape != want:
                 raise DimensionError(f"{name} must have shape {want}, got {arr.shape}")
@@ -123,8 +132,9 @@ def to_general_problem(inst: LocationInstance) -> ProblemInstance:
     """The equivalent max-plus instance of the combined-constraints problem.
 
     Its objective at any x equals max_j (w_j + chebyshev_distance(r_j, x)).
-    The instance has checked B, g and h, so they are wrapped as trusted; p
-    and q, whose sums can overflow, are checked in one call.
+    The instance has checked its read-only copies of B, g and h, so they
+    are wrapped as trusted; p and q, whose sums can overflow, are checked
+    in one call.
     """
     p, q = build_pq(inst.points, inst.weights)
     MAX_PLUS.validate(np.concatenate((p, q)))

@@ -76,26 +76,28 @@ class ParsedProblem:
 _INFINITIES = {"-inf": float("-inf"), "+inf": float("inf")}
 
 
-def _to_number(raw, where: str) -> float:
+def _to_number(raw, where: str, i: int) -> float:
+    """Entry i of the array at ``where`` as a float.
+
+    A plain int or float is decided by its type alone (a bool is neither),
+    and the entry's name is built only for an error.
+    """
+    if type(raw) in (int, float):
+        return float(raw)
     if isinstance(raw, str):
         if raw in _INFINITIES:
             return _INFINITIES[raw]
-        raise ProblemFileError(f"{where}: expected a number or \"-inf\"/\"+inf\", got {raw!r}")
+        raise ProblemFileError(
+            f"{where}[{i}]: expected a number or \"-inf\"/\"+inf\", got {raw!r}")
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ProblemFileError(f"{where}: expected a number, got {type(raw).__name__}")
+        raise ProblemFileError(f"{where}[{i}]: expected a number, got {type(raw).__name__}")
     return float(raw)
 
 
 def _vector(raw, where: str) -> list[float]:
-    """The entries of a non-empty array as floats, in one pass when all are
-    well formed; the per-entry pass of :func:`_to_number` runs only to name
-    the first bad one."""
     if not isinstance(raw, list) or not raw:
         raise ProblemFileError(f"{where}: expected a non-empty array")
-    try:  # a bool is neither int nor float here, and no key of _INFINITIES
-        return [float(v) if type(v) in (int, float) else _INFINITIES[v] for v in raw]
-    except (KeyError, TypeError):
-        return [_to_number(v, f"{where}[{i}]") for i, v in enumerate(raw)]
+    return [_to_number(v, where, i) for i, v in enumerate(raw)]
 
 
 def _matrix(raw, where: str) -> list[list[float]]:

@@ -130,6 +130,10 @@ class Semifield:
         """Multiplicative inverse; rejects the semifield zero."""
         if np.count_nonzero(a == self.zero):
             raise DomainError(f"{self.tag}: the semifield zero has no inverse")
+        return self._inv_unchecked(a)
+
+    def _inv_unchecked(self, a):
+        """:meth:`inv` without its zero test, for values known to be regular."""
         return np.divide(1.0, a) if self.times else np.negative(a)
 
     def power(self, a, r):

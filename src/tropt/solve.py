@@ -145,7 +145,7 @@ def _objectives(sf, p, q, xs) -> np.ndarray:
         raise DomainError("objective requires a regular x")
     xt = xs.T
     terms = np.empty((2, *xt.shape))  # the products of conj(x) p and of conj(q) x, by columns
-    sf.mul(np.divide(1.0, xt) if sf.times else np.negative(xt), p.T, out=terms[0])
+    sf.mul(sf._inv_unchecked(xt), p.T, out=terms[0])
     sf.mul(conj_values(sf, q.T), xt, out=terms[1])
     out = np.empty((3, xt.shape[0]))  # the two terms and their sum
     sf.add.reduce(terms, axis=2, out=out[:2])
@@ -203,13 +203,10 @@ def _solve(B, p, q, g, h) -> SolutionSet | InfeasibilityReport:
             return InfeasibilityReport(InfeasibleReason.TR_EXCEEDS_ONE, sf.scalar(trace))
         gen = TropicalMatrix(sf, bstar, _trusted=True)
 
-    # The rows conj(q) and conj(h), or those times B*.  Every solver has
-    # proved q and h regular, so they are inverted raw.
-    rows = q.data.T if h is None else np.concatenate((q.data.T, h.data.T))
-    rows = np.divide(1.0, rows) if sf.times else np.negative(rows)
-    if h is None:
-        rows = np.concatenate((rows, np.full_like(rows, sf.zero)))
-    qc, hc = rows[:1], rows[1:]
+    # Every solver has proved q and h regular, so they are inverted unchecked.
+    qc = sf._inv_unchecked(q.data.T)
+    hc = np.full_like(qc, sf.zero) if h is None else sf._inv_unchecked(h.data.T)
+    rows = np.concatenate((qc, hc))  # conj(q) and conj(h), or that times B*
     if bstar is not None:
         rows = _kernels.matmul(rows, bstar, sf)
     cols = np.concatenate((p.data, np.full_like(p.data, sf.zero) if g is None else g.data), axis=1)

@@ -124,6 +124,23 @@ class TestReduction:
         gen = t.to_general_problem(inst)
         assert gen.B is None and gen.g is None and gen.h is None
 
+    def test_arrays_changed_after_construction_do_not_reach_the_instance(self):
+        # B, g and h are wrapped as trusted, so the instance must keep the
+        # arrays it checked, not the caller's.
+        src = {k: np.array(WORKED[k], float) for k in ("B", "g", "h")}
+        pts, w = np.array(POINTS, float), np.array(WEIGHTS, float)
+        inst = t.LocationInstance(pts, w, **src)
+        for arr in (pts, w, *src.values()):
+            arr.flat[0] = np.inf
+        gen = t.to_general_problem(inst)
+        assert gen.B.tolist() == WORKED["B"]
+        assert gen.g.column_values().tolist() == WORKED["g"]
+        assert gen.h.column_values().tolist() == WORKED["h"]
+        assert inst.points.tolist() == POINTS and inst.weights.tolist() == WEIGHTS
+        for name in ("points", "weights", "B", "g", "h"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(inst, name).flat[0] = 0.0
+
     @pytest.mark.parametrize("weight", [1e308, -1e308], ids=["p", "q"])
     def test_a_corner_that_overflows_is_rejected(self, weight):
         # Finite points and weights can sum past the floats: p = r + w, or
