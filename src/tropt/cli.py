@@ -111,9 +111,11 @@ def _cmd_solve(args) -> int:
 def _grid(args, inst) -> GridSpec | None:
     """The grid that ``verify`` scans, or None to ask :func:`exact_min`.
 
-    A ``--grid-*`` option or a times semifield takes the grid, and so
-    does integer data at n <= 3 whose default grid passes the guard: the
-    grid is exact there.  Every other file goes to the exact oracle.
+    ``--grid-lo`` and ``--grid-hi`` give the grid, and ``--grid-step``
+    alone the default grid at that step.  Integer data take the default
+    grid whenever it passes the guard, at any n: the grid is exact there.
+    Every other file goes to the exact oracle.  The times semifields have
+    no default grid.
     """
     from .oracle import GridSpec, _finite_data, default_grid
 
@@ -124,9 +126,11 @@ def _grid(args, inst) -> GridSpec | None:
     step = 0.5 if args.grid_step is None else args.grid_step
     if lo is not None:
         return GridSpec(lo, hi, step)
-    if args.grid_step is not None or inst.sf.times:
+    if inst.sf.times:
+        raise TroptError(f"no default grid for {inst.sf.tag}; pass --grid-lo and --grid-hi")
+    if args.grid_step is not None:
         return default_grid(inst, step)
-    if inst.n <= 3 and (_finite_data(inst) % 1 == 0).all():
+    if (_finite_data(inst) % 1 == 0).all():
         try:
             return default_grid(inst)
         except GridGuardError:
@@ -135,7 +139,7 @@ def _grid(args, inst) -> GridSpec | None:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import brute_force_min, default_grid, exact_min
+    from .oracle import brute_force_min, exact_min
 
     parsed = load_problem(args.file, semifield_override=args.semifield)
     eps = _epsilon(args)
@@ -145,9 +149,8 @@ def _cmd_verify(args) -> int:
     if grid is None:
         try:
             oracle = exact_min(inst)
-        except DomainError:  # data too wide once scaled: the default grid answers
-            grid = default_grid(inst)
-    if grid is None:
+        except DomainError as exc:  # data too wide once scaled: neither oracle holds them
+            raise TroptError(f"{exc}; pass --grid-lo and --grid-hi") from None
         report: dict = {"status": None, "oracle": "exact"}
     else:
         oracle = brute_force_min(inst, grid, eps=eps)

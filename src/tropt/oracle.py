@@ -2,11 +2,12 @@
 no formulas with the closed-form solvers.
 
 :func:`brute_force_min` evaluates the objective at every feasible point
-of a finite grid, and returns the best value with all attaining points.
-Its default step 1/2 is exact on integer instances: the closed-form
-optimum halves an integer, so the optimizers lie on the half-integer
-lattice.  Any other grid is scanned as it is.  :func:`exact_min` solves
-a max-plus or min-plus instance at any n as difference constraints.
+of a finite grid, at any n, and returns the best value with all
+attaining points.  Its default step 1/2 is exact on integer instances:
+the closed-form optimum halves an integer, so the optimizers lie on the
+half-integer lattice.  Any other grid is scanned as it is.
+:func:`exact_min` solves a max-plus or min-plus instance at any n as
+difference constraints.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, GridGuardError
-from .linalg import conj_values
 from .solve import ProblemInstance
 from .semifield import TropicalScalar
 
@@ -123,22 +123,13 @@ def default_grid(inst: ProblemInstance, step: float = 0.5) -> GridSpec:
     finite = _finite_data(inst)
     d = float(np.abs(finite).max()) if finite.size else 1.0
     pad = 3.0 * d + 1.0
-    lower = np.full(inst.n, -pad)
-    upper = np.full(inst.n, pad)
-    if inst.g is not None:
-        gv = inst.g.data.reshape(-1)
-        mask = np.isfinite(gv)
-        if inst.sf.minimize:
-            upper[mask] = np.minimum(upper[mask], gv[mask])
-        else:
-            lower[mask] = np.maximum(lower[mask], gv[mask])
-    if inst.h is not None:
-        hv = inst.h.data.reshape(-1)
-        mask = np.isfinite(hv)
-        if inst.sf.minimize:
-            lower[mask] = np.maximum(lower[mask], hv[mask])
-        else:
-            upper[mask] = np.minimum(upper[mask], hv[mask])
+    # Every finite entry lies within d < pad, so the box takes the finite
+    # entries of g and h as they are, in the semifield's order, and the pad
+    # where they are absent or the semifield zero.
+    below, above = (inst.h, inst.g) if inst.sf.minimize else (inst.g, inst.h)
+    lower, upper = (np.full(inst.n, end) if v is None
+                    else np.where(np.isfinite(v.data[:, 0]), v.data[:, 0], end)
+                    for v, end in ((below, -pad), (above, pad)))
     return GridSpec(lower, np.maximum(lower, upper), step)
 
 
@@ -156,8 +147,9 @@ def brute_force_min(
 ) -> OracleResult:
     """Exhaustively minimize the objective over the feasible grid points.
 
-    Only dimensions up to 3 are supported; the point count is capped by
-    the GridSpec guard.  Argmins are reported in lexicographic order.
+    Any dimension is scanned; the GridSpec guard caps the point count.
+    Argmins are reported in lexicographic order.  conj(q) is formed here,
+    so that the oracle shares no conjugate with the solver or ``contains``.
 
     The grid is scanned from its axes (:func:`_kernels.grid_scan`), without
     building a point; the axes are validated, which checks every value a
@@ -168,8 +160,6 @@ def brute_force_min(
     (:func:`_kernels.nth_true`), read on the axes cut to the box.
     """
     sf = inst.sf
-    if inst.n > 3:
-        raise DomainError(f"oracle supports dimension <= 3, got {inst.n}")
     if grid is None:
         grid = default_grid(inst)
     if len(grid.lower) != inst.n:
@@ -177,7 +167,12 @@ def brute_force_min(
 
     B = None if inst.B is None else inst.B.data
     g, h = (None if v is None else v.data[:, 0] for v in (inst.g, inst.h))
-    qc = conj_values(sf, inst.q.data[:, 0])
+    q = inst.q.data[:, 0]
+    nonzero = q != sf.zero
+    if not nonzero.any():
+        raise DomainError("conjugate of the all-zero vector is undefined")
+    with np.errstate(divide="ignore"):
+        qc = np.where(nonzero, 1.0 / q if sf.times else -q, q)
 
     axes = grid.axes()
     sf.validate(np.concatenate(axes))

@@ -65,7 +65,7 @@ def test_every_command_exits_cleanly_and_verify_agrees_on_small_integers(tmp_pat
     rng = np.random.default_rng(2024)
     path = tmp_path / "fuzz.json"
     codes = {"solve": set(), "plot": set(), "verify": set()}
-    checked = 0
+    checked = grid_at_n4 = 0
     for ptype in TYPES:
         for tag in TAGS:
             for _ in range(FILES_PER_PAIR):
@@ -81,9 +81,13 @@ def test_every_command_exits_cleanly_and_verify_agrees_on_small_integers(tmp_pat
                         assert ET.fromstring(outputs[command]).tag.endswith("svg"), doc
                     if command == "solve":
                         solved = code
-                if tag.endswith("plus") and solved != 2 and _small_integers(path):
+                if outputs["verify"]:  # every report agrees; a refusal prints none
                     report = json.loads(outputs["verify"])
                     assert report["status"] == "agree", (doc, report)
+                    n = len(doc["p"] if "p" in doc else doc["points"][0])
+                    grid_at_n4 += n >= 4 and "grid_points" in report
+                if tag.endswith("plus") and solved != 2 and _small_integers(path):
+                    assert outputs["verify"], doc
                     checked += 1
     assert codes == {"solve": {0, 1, 2}, "plot": {0, 1, 2}, "verify": {0, 1, 2}}
-    assert checked >= 40
+    assert checked >= 40 and grid_at_n4 >= 1

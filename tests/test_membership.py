@@ -96,9 +96,8 @@ def instance(sf, raw):
 
 
 def oracle_argmins(raw):
-    """Argmins of the integer grid over [g, h], in max-plus values; n <= 3 with a box only."""
-    n = len(raw["p"])
-    if n > 3 or raw["g"] is None:
+    """Argmins of the integer grid over [g, h], in max-plus values; with a box only."""
+    if raw["g"] is None:
         return []
     inst = instance(t.MAX_PLUS, raw)
     res = t.brute_force_min(inst, t.GridSpec(raw["g"], raw["h"], 1.0))

@@ -91,6 +91,38 @@ class TestDefaultGrid:
         for a in res.argmins:
             assert t.contains(sol, inst, t.tvector(sf, a))
 
+    @pytest.mark.parametrize("sf", [t.MAX_PLUS, t.MIN_PLUS], ids=lambda sf: sf.tag)
+    def test_clips_like_one_bound_at_a_time(self, sf):
+        # The same bits as clipping the padded box to each finite entry of
+        # g and h in turn, with g and h absent, finite or the semifield zero.
+        rng = np.random.default_rng(12)
+        s = -1.0 if sf.minimize else 1.0
+        for k in range(60):
+            n = int(rng.integers(1, 4))
+            vec = lambda: rng.normal(size=n) * [1.0, 0.1, 1e3, 1e300][k % 4]
+            g = h = None
+            if k % 3:
+                g = vec()
+                g[rng.random(n) < 0.4] = sf.zero
+            if k % 5:
+                h = g + s * np.abs(vec()) if g is not None else vec()
+                h[~np.isfinite(h)] = 0.0
+            inst = t.problem(sf, vec(), vec(), g=g, h=h)
+            finite = np.concatenate([v for v in (inst.p.data, inst.q.data, g, h)
+                                     if v is not None], axis=None)
+            pad = 3.0 * np.abs(finite[np.isfinite(finite)]).max() + 1.0
+            lower, upper = np.full(n, -pad), np.full(n, pad)
+            for v, is_lower in ((g, not sf.minimize), (h, sf.minimize)):
+                if v is not None:
+                    m = np.isfinite(v)
+                    if is_lower:
+                        lower[m] = np.maximum(lower[m], v[m])
+                    else:
+                        upper[m] = np.minimum(upper[m], v[m])
+            grid = t.default_grid(inst, pad)  # at most 3 points an axis
+            assert grid.lower.tobytes() == lower.tobytes(), k
+            assert grid.upper.tobytes() == np.maximum(lower, upper).tobytes(), k
+
     def test_times_needs_explicit_grid(self):
         inst = t.problem(t.MAX_TIMES, [4], [0.25])
         with pytest.raises(DomainError):
@@ -131,10 +163,28 @@ class TestBruteForce:
         assert res.feasible_count == 0
         assert res.argmins == []
 
-    def test_dimension_cap(self, mp):
-        inst = t.problem(mp, [0] * 4, [0] * 4)
-        with pytest.raises(DomainError):
-            t.brute_force_min(inst, t.GridSpec(np.zeros(4), np.ones(4)))
+    @pytest.mark.parametrize("sf", [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES],
+                             ids=lambda sf: sf.tag)
+    def test_agrees_with_the_solver_at_n_4_to_6(self, sf):
+        # No dimension cap: planted instances at n = 4, 5 and 6, with theta,
+        # the optimizer and every argmin checked.  The plus semifields scan
+        # their default grid, the box [g, h] at step 1/2, exact on integer
+        # data.  The times instances are pinned (no objective slack), so the
+        # planted x, made of powers of two in [1, 8], is the one optimizer,
+        # and the integer grid from 1 to 8 holds it.
+        rng = np.random.default_rng(46)
+        for k in range(9):
+            x, theta, inst = _planted(rng, sf, 4 + k % 3)
+            grid = (t.GridSpec(np.ones(inst.n), np.full(inst.n, 8.0), 1.0) if sf.times
+                    else t.default_grid(inst))
+            sol = t.solve_instance(inst)
+            res = t.brute_force_min(inst, grid)
+            assert sol.theta.eq(sf.scalar(theta)) and res.min_value.eq(sol.theta), k
+            assert any(np.array_equal(a, x) for a in res.argmins), k
+            if sf.times:
+                assert len(res.argmins) == 1, k
+            for a in res.argmins:
+                assert t.contains(sol, inst, t.tvector(sf, a)), (k, a)
 
     def test_grid_dimension_mismatch(self, mp):
         inst = t.problem(mp, [0, 0], [0, 0])
@@ -160,6 +210,37 @@ class TestBruteForce:
             assert res.min_value == sol.theta
             for a in res.argmins:
                 assert t.contains(sol, inst, t.tvector(mp, a))
+
+
+def _planted(rng, sf, n):
+    """A feasible instance of integer exponents around the optimizer x, with
+    optimum theta: ``(x, theta, instance)``, carried to ``sf`` by
+    v -> v, -v, 2^v or 2^-v.
+
+    With p = theta + x - a, q = x - theta + b for slacks a, b >= 0 that are
+    0 at one index j, every point has objective at least
+    (p_j - q_j) / 2 = theta, and x attains it.  B = x_i - x_k - c (some
+    entries absent), g = x - s and h = x + s' keep x feasible.  In the times
+    semifields the slacks a and b are 0 and x is made of powers of two in
+    [1, 8].
+    """
+    if sf.times:
+        y = rng.integers(0, 4, n).astype(float)
+        x, theta = (y if not sf.minimize else -y), float(rng.integers(1, 3))
+        a = b = np.zeros(n)
+    else:
+        x, theta = rng.integers(-4, 5, n).astype(float), float(rng.integers(0, 4))
+        a, b = rng.integers(0, 3, (2, n)).astype(float)
+        j = int(rng.integers(n))
+        a[j] = b[j] = 0.0
+    B = x[:, None] - x[None, :] - rng.integers(0, 3, (n, n))
+    B[rng.random((n, n)) < 0.3] = -np.inf
+    raw = dict(p=theta + x - a, q=x - theta + b, B=B,
+               g=x - rng.integers(0, 3, n), h=x + rng.integers(0, 2, n))
+    to_sf = {t.MAX_PLUS: lambda v: v, t.MIN_PLUS: np.negative,
+             t.MAX_TIMES: np.exp2, t.MIN_TIMES: lambda v: np.exp2(-v)}[sf]
+    inst = t.problem(sf, **{key: to_sf(v) for key, v in raw.items()})
+    return to_sf(x), float(to_sf(theta)), inst
 
 
 class TestDyadicData:

@@ -213,8 +213,8 @@ class TestLocationFiles:
         assert main(["solve", str(f)]) == 0
         solved = json.loads(capsys.readouterr().out)
         assert solved["status"] == "optimal" and solved["theta"] == 2.7
-        main(["verify", str(f)])
-        assert json.loads(capsys.readouterr().out)["solver_theta"] == solved["theta"]
+        assert main(["verify", str(f)]) == 2  # neither oracle holds the data
+        assert "data too wide for an exact oracle" in capsys.readouterr().err
         if len(doc["points"][0]) == 2:
             assert main(["plot", str(f)]) == 0
             assert ET.fromstring(capsys.readouterr().out).tag.endswith("svg")
@@ -350,12 +350,8 @@ class TestCliVerify:
 
     @pytest.mark.parametrize("doc, theta", [
         ({"problem": "unconstrained", "p": [9, 0, 0], "q": [0, 0, 0]}, 4.5),
-        ({"problem": "general", "p": [3, 1, 0, 2], "q": [-1, 0, 2, 1],
-          "g": [-3, "-inf", -2, -4], "h": [5, 4, 6, 3],
-          "B": [[0, -2, "-inf", -1], [-3, 0, -1, "-inf"], ["-inf", -2, 0, -3],
-                [-1, "-inf", -2, 0]]}, 2),
         ({"problem": "general", "p": [0.5, "-inf"], "q": [0, 0]}, 0.25),
-    ], ids=["grid-past-the-guard", "n4", "x_lo-holds-minus-inf"])
+    ], ids=["grid-past-the-guard", "x_lo-holds-minus-inf"])
     def test_verify_agrees_through_the_exact_oracle(self, doc, theta, tmp_path, capsys):
         f = tmp_path / "p.json"
         f.write_text(json.dumps(doc))
@@ -365,6 +361,23 @@ class TestCliVerify:
         assert out == {"status": "agree", "oracle": "exact", "solver_theta": theta,
                        "oracle_min": theta, "ends_agree": True,
                        "summary": f"agree: theta = {theta}"}
+
+    def test_verify_takes_the_default_grid_at_n_4(self, tmp_path, capsys):
+        # Integer data whose default grid passes the guard take the grid at
+        # any n: here [g, h], padded where g is the semifield zero.
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({
+            "problem": "general", "p": [3, 1, 0, 2], "q": [-1, 0, 2, 1],
+            "g": [-3, "-inf", -2, -4], "h": [5, 4, 6, 3],
+            "B": [[0, -2, "-inf", -1], [-3, 0, -1, "-inf"], ["-inf", -2, 0, -3],
+                  [-1, "-inf", -2, 0]],
+        }))
+        code = main(["verify", str(f)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0, out
+        assert out == {"status": "agree", "grid_points": 17 * 47 * 17 * 15, "solver_theta": 2,
+                       "oracle_min": 2, "argmin_count": 216, "argmins_contained": True,
+                       "summary": "agree: theta = 2"}
 
     def test_verify_agrees_at_n_64(self, tmp_path, capsys):
         rng = np.random.default_rng(64)
@@ -397,20 +410,27 @@ class TestCliVerify:
                        "solver": {"status": "infeasible", "reason": "TrExceedsOne", "detail": 1},
                        "summary": "agree: infeasible"}
 
-    @pytest.mark.parametrize("name", ROUNDING_MEETS.keys())
-    def test_verify_keeps_the_default_grid_for_data_too_wide_to_scale(self, name, tmp_path,
-                                                                    capsys):
-        # 0.1, 0.2 and 0.3 scaled to integers pass 2^53, so the default grid
-        # answers; it holds no feasible point (FOUND in CHANGES.md).
-        f = tmp_path / "loc.json"
-        f.write_text(json.dumps(ROUNDING_MEETS[name]))
-        assert main(["verify", str(f)]) == 1
-        grid_points, summary = {"2-D box": (1260, 2.7),
-                                "3-D cycle": (157464, 2.6999999999999997)}[name]
-        assert capsys.readouterr().out == dump_json({
-            "status": "disagree", "grid_points": grid_points, "solver_theta": 2.7,
-            "oracle_min": None, "argmin_count": 0, "argmins_contained": False,
-            "summary": f"disagree: solver theta = {summary}, oracle = None"})
+    @pytest.mark.parametrize("doc, message", [
+        (ROUNDING_MEETS["2-D box"], "data too wide for an exact oracle: scaled by 2^56 they "
+                                    "reach 7.21e+17; pass --grid-lo and --grid-hi"),
+        (ROUNDING_MEETS["3-D cycle"], "data too wide for an exact oracle: scaled by 2^56 they "
+                                      "reach 2.95e+17; pass --grid-lo and --grid-hi"),
+        ({"problem": "unconstrained", "p": [0.3], "q": [0.3]},
+         "data too wide for an exact oracle: scaled by 2^55 they reach 1.08e+16; "
+         "pass --grid-lo and --grid-hi"),
+        ({"problem": "unconstrained", "semifield": "max-times", "p": [2, 4], "q": [1, 8]},
+         "no default grid for max-times; pass --grid-lo and --grid-hi"),
+    ], ids=["2-D box", "3-D cycle", "p-q-0.3", "max-times"])
+    def test_verify_refuses_data_that_neither_oracle_holds(self, doc, message, tmp_path,
+                                                          capsys):
+        # Decimal data pass 2^53 once scaled to integers, and the times
+        # semifields have no default grid: with no --grid-lo and --grid-hi,
+        # verify answers neither.
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc))
+        assert main(["verify", str(f)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
 
     def test_verify_reports_an_exact_disagreement(self, monkeypatch, tmp_path, capsys):
         f = tmp_path / "half.json"
