@@ -80,18 +80,21 @@ def _to_number(raw, where: str, i: int) -> float:
     """Entry i of the array at ``where`` as a float.
 
     A plain int or float is decided by its type alone (a bool is neither),
-    and the entry's name is built only for an error.
+    and the entry's name is built only for an error.  JSON integers have no
+    bound, so one can lie outside the float range.
     """
-    if type(raw) in (int, float):
+    if type(raw) not in (int, float):
+        if isinstance(raw, str):
+            if raw in _INFINITIES:
+                return _INFINITIES[raw]
+            raise ProblemFileError(
+                f"{where}[{i}]: expected a number or \"-inf\"/\"+inf\", got {raw!r}")
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise ProblemFileError(f"{where}[{i}]: expected a number, got {type(raw).__name__}")
+    try:
         return float(raw)
-    if isinstance(raw, str):
-        if raw in _INFINITIES:
-            return _INFINITIES[raw]
-        raise ProblemFileError(
-            f"{where}[{i}]: expected a number or \"-inf\"/\"+inf\", got {raw!r}")
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ProblemFileError(f"{where}[{i}]: expected a number, got {type(raw).__name__}")
-    return float(raw)
+    except OverflowError:
+        raise ProblemFileError(f"{where}[{i}]: integer outside the float range") from None
 
 
 def _vector(raw, where: str) -> list[float]:
@@ -204,10 +207,7 @@ def parse_problem(doc, *, semifield_override: str | None = None) -> ParsedProble
             w = _vector(doc["weights"], "field 'weights'")
             if len(w) != len(pts):
                 raise ProblemFileError("field 'weights': one weight per point required")
-            loc = LocationInstance(
-                np.array(pts), np.array(w),
-                B=_opt_arr(get_mat("B")), g=_opt_arr(get_vec("g")), h=_opt_arr(get_vec("h")),
-            )
+            loc = LocationInstance(pts, w, B=get_mat("B"), g=get_vec("g"), h=get_vec("h"))
             return ParsedProblem(ptype, to_general_problem(loc), loc)
 
         inst = problem(
@@ -220,16 +220,16 @@ def parse_problem(doc, *, semifield_override: str | None = None) -> ParsedProble
         raise ProblemFileError(str(exc)) from exc
 
 
-def _opt_arr(v):
-    return None if v is None else np.array(v, dtype=np.float64)
-
-
 def load_problem(path, *, semifield_override: str | None = None) -> ParsedProblem:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ProblemFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ProblemFileError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+        except RecursionError:
+            raise ProblemFileError(f"{path}: JSON nested too deep") from None
     return parse_problem(doc, semifield_override=semifield_override)
 
 

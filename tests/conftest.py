@@ -33,43 +33,72 @@ def worked(mp):
     )
 
 
-MAX_TRIES = 10_000
-MIXED_B_MAX_N = 4
+PARTS = ("p", "q", "g", "h", "B")
 
 
-def random_feasible_instance(rng, n, *, with_box=True, mixed_B=False):
-    """Integer max-plus instance with entries in [-10, 10] that is feasible
-    by construction: rejection sampling rules out positive cycles in B and,
-    when box bounds are present, violations of the closure condition.
+def planted(rng, n, kind="feasible", *, size=5, step=1.0, density=1.0, parts="Bgh"):
+    """Max-plus data on the lattice of ``step``, built around a planted optimizer.
 
-    With ``mixed_B`` the share of draws without a positive cycle falls fast
-    with n (about 10% at n = 3, 0.7% at n = 4, 0.02% at n = 5), so the
-    sampling gives up after MAX_TRIES draws; n <= MIXED_B_MAX_N is safe.
+    The optimizer x and the optimum theta lie on the half lattice: one
+    offset o, 0 or step / 2, is drawn, then x = o + step * [0, size]^n and
+    theta = o + step * [-size, size], so in half the draws they fall between
+    the lattice points that hold every datum.  With slacks that are
+    multiples of step,
+    - p = theta + x - a and q = x - theta + b, a and b in [0, size // 2] but
+      a_j = b_j = 0 at one index j: every point has objective at least
+      (p_j - q_j) / 2 = theta, and x attains it;
+    - B_ik = x_i - x_k - c_ik, c in [0, size], absent at the share
+      1 - density: no cycle of B weighs above zero, since x solves B x <= x;
+    - g = x - o - s and h = x + o + s', s and s' in [0, size // 4], the
+      entries of g absent at the share 1 - density: g <= x <= h.
+
+    ``parts`` names the parts present among B, g and h.  ``kind`` plants one
+    defect and brings the parts it needs: "cycle" sets the edges of a cycle
+    of 1 to n nodes to x_i - x_k and raises one of them by step
+    (TrExceedsOne); "bounds" sets one g_j to h_j + step (BoundsIncompatible).
+
+    Returns a dict of p, q, g, h and B (None where absent), with the planted
+    "x" and "theta", which a defect leaves as they were.
     """
-    for _ in range(MAX_TRIES):
-        if mixed_B:
-            B = rng.integers(-10, 11, size=(n, n)).astype(float)
-            np.fill_diagonal(B, rng.integers(-10, 1, size=n))
-            if _best_cycle(B) > 0:
-                continue
-        else:
-            B = rng.integers(-10, 1, size=(n, n)).astype(float)
-        g = h = None
-        if with_box:
-            g = rng.integers(-10, 0, size=n).astype(float)
-            h = rng.integers(0, 11, size=n).astype(float)
-            bstar = t.closure_entries(B)
-            if (bstar - h[:, None] + g[None, :]).max() > 0:
-                continue
-        break
-    else:
-        raise RuntimeError(
-            f"no feasible draw in {MAX_TRIES} tries at n = {n}; random_feasible_instance "
-            f"with mixed_B=True supports n <= {MIXED_B_MAX_N}"
-        )
-    p = rng.integers(-10, 11, size=n).astype(float)
-    q = rng.integers(-10, 11, size=n).astype(float)
-    return dict(B=B, p=p, q=q, g=g, h=h)
+    lattice = lambda lo, hi, shape=None: rng.integers(lo, hi + 1, shape) * step
+    o = step / 2 * rng.integers(2)
+    x = o + lattice(0, size, n)
+    theta = float(o + lattice(-size, size))
+    a, b = lattice(0, size // 2, (2, n))
+    j = rng.integers(n)
+    a[j] = b[j] = 0.0
+    raw = dict(p=theta + x - a, q=x - theta + b, g=None, h=None, B=None, x=x, theta=theta)
+    if "B" in parts or kind == "cycle":
+        raw["B"] = np.subtract.outer(x, x) - lattice(0, size, (n, n))
+        raw["B"][rng.random((n, n)) >= density] = -np.inf
+    if "g" in parts or kind == "bounds":
+        raw["g"] = x - o - lattice(0, size // 4, n)
+        raw["g"][rng.random(n) >= density] = -np.inf
+    if "h" in parts or kind == "bounds":
+        raw["h"] = x + o + lattice(0, size // 4, n)
+    if kind == "cycle":
+        c = rng.permutation(n)[: rng.integers(1, n + 1)]
+        nxt = np.roll(c, -1)
+        raw["B"][c, nxt] = x[c] - x[nxt]
+        raw["B"][c[0], nxt[0]] += step
+    elif kind == "bounds":
+        i = rng.integers(n)
+        raw["g"][i] = raw["h"][i] + step
+    return raw
+
+
+def to_sf(sf, v):
+    """Max-plus values carried to sf by v, -v, 2^v or 2^-v; None stays None."""
+    if v is None:
+        return None
+    v = np.asarray(v, dtype=np.float64)
+    v = -v if sf.minimize else v
+    return np.exp2(v) if sf.times else v
+
+
+def instance(sf, raw):
+    """The max-plus data ``raw`` as a ProblemInstance over sf."""
+    return t.problem(sf, **{k: to_sf(sf, raw[k]) for k in PARTS})
 
 
 def _best_cycle(B):
@@ -91,18 +120,6 @@ def power_trace_loop(a):
         power = power @ a
         acc = float(a.sf.add(acc, trace(power)))
     return acc
-
-
-def as_instance(sf, raw):
-    mk = lambda v: None if v is None else t.tvector(sf, v)
-    return t.ProblemInstance(
-        sf,
-        t.tvector(sf, raw["p"]),
-        t.tvector(sf, raw["q"]),
-        g=mk(raw["g"]),
-        h=mk(raw["h"]),
-        B=None if raw["B"] is None else t.tmatrix(sf, raw["B"]),
-    )
 
 
 def theta_forms_agree(B, p, q, eps=None):

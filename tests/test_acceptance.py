@@ -15,7 +15,7 @@ from tropt.probfile import load_problem, solve_parsed
 from tropt.svg import render_svg
 
 from conftest import (
-    POINTS, WEIGHTS, WORKED, as_instance, random_feasible_instance, theta_forms_agree,
+    POINTS, WEIGHTS, WORKED, instance, planted, theta_forms_agree,
 )
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -133,8 +133,8 @@ def test_criterion_06_oracle_equivalence():
     ok = True
     while checked < 200 and ok:
         n = int(rng.integers(2, 4))
-        raw = random_feasible_instance(rng, n, mixed_B=True)
-        inst = as_instance(MP, raw)
+        raw = planted(rng, n)
+        inst = instance(MP, raw)
         sol = t.solve_instance(inst)
         grid = t.GridSpec(np.array(raw["g"]), np.array(raw["h"]), 0.5)
         res = t.brute_force_min(inst, grid)
@@ -231,7 +231,7 @@ def test_criterion_08_theta_form_equivalence():
     ok = True
     for _ in range(100):
         n = int(rng.integers(1, 6))
-        raw = random_feasible_instance(rng, n, with_box=False)
+        raw = planted(rng, n, parts="B")
         ok &= theta_forms_agree(
             t.tmatrix(MP, raw["B"]), t.tvector(MP, raw["p"]), t.tvector(MP, raw["q"]),
             eps=0.0,
@@ -246,7 +246,7 @@ def test_criterion_09_specialization_chain():
     ok = True
     for _ in range(100):
         n = int(rng.integers(1, 5))
-        raw = random_feasible_instance(rng, n)
+        raw = planted(rng, n)
         p, q = t.tvector(MP, raw["p"]), t.tvector(MP, raw["q"])
         g, h = t.tvector(MP, raw["g"]), t.tvector(MP, raw["h"])
         box = t.solve_box_constrained(p, q, g, h)

@@ -8,6 +8,7 @@ import pytest
 
 import tropt as t
 from tropt.errors import DimensionError, DomainError, SemifieldMismatchError
+from tropt.probfile import report_dict
 
 NAN, INF = float("nan"), float("inf")
 
@@ -104,6 +105,19 @@ def test_shape_and_semifield_guards_are_named():
          "grid bounds must be flat vectors of equal length"),
         (lambda: t.GridSpec(np.zeros((2, 1)), np.ones((2, 1))), DomainError,
          "grid bounds must be flat vectors of equal length"),
+        (lambda: t.TropicalMatrix(sf, []), DimensionError,
+         "expected a non-empty 2-D array, got shape (0, 1)"),
+        (lambda: t.TropicalMatrix(sf, np.zeros((1, 1, 1))), DimensionError,
+         "expected a non-empty 2-D array, got shape (1, 1, 1)"),
+        (lambda: t.tmatrix(sf, [0, 0]), DimensionError,
+         "expected a nested list of rows, got shape (2,)"),
+        (wide.column_values, DimensionError, "not a vector: shape (2, 3)"),
+        (wide.as_scalar, DimensionError, "not a 1x1 matrix: (2, 3)"),
+        (lambda: good.leq(row), DimensionError, "shape mismatch: (2, 1) vs (1, 2)"),
+        (lambda: good.leq([0, 0]), TypeError, "expected TropicalMatrix, got list"),
+        (lambda: sf.scalar(0) + 0, TypeError, "expected TropicalScalar, got int"),
+        (lambda: sf.power(np.zeros(2), 2), DomainError, "power is defined for scalars only"),
+        (lambda: report_dict(good), TypeError, "cannot report TropicalMatrix"),
     ]
     for call, kind, message in cases:
         with pytest.raises(kind) as info:

@@ -11,46 +11,10 @@ import tropt._kernels
 import tropt.solve
 from tropt.errors import DomainError
 
+from conftest import PARTS, instance, planted
+
 PLUS = [t.MAX_PLUS, t.MIN_PLUS]
 KINDS = ("feasible", "cycle", "bounds")
-
-
-def _raw(rng, n, kind, lattice=1.0, density=0.7, parts=(True, True, True)):
-    """Max-plus data on the multiples of ``lattice``, feasible at a planted x
-    unless ``kind`` plants a cycle above one or a g_j above h_j.
-
-    ``parts`` says which of B, g and h are present; a planted defect
-    brings the parts it needs.
-    """
-    step = lambda lo, hi, size=None: rng.integers(lo, hi + 1, size) * float(lattice)
-    x = step(-20, 20, n)
-    with_B, with_g, with_h = parts
-    B = g = h = None
-    if with_B or kind == "cycle":
-        B = np.subtract.outer(x, x) - step(0, 20, (n, n))
-        B[rng.random((n, n)) > density] = -np.inf
-    if with_g or kind == "bounds":
-        g = x - step(0, 6, n)
-        g[rng.random(n) < 0.2] = -np.inf
-    if with_h or kind == "bounds":
-        h = x + step(0, 6, n)
-    if kind == "cycle":
-        c = rng.permutation(n)[: rng.integers(1, min(n, 3) + 1)]
-        B[c, np.roll(c, -1)] = x[c] - x[np.roll(c, -1)]
-        B[c[0], c[1 % c.size]] += lattice
-    elif kind == "bounds":
-        j = rng.integers(n)
-        g[j] = h[j] + lattice
-    p, q = step(-20, 20, n), step(-20, 20, n)
-    return dict(p=p, q=q, g=g, h=h, B=B)
-
-
-def _instance(sf, raw):
-    """The max-plus data ``raw`` as an instance over sf, negated for min-plus."""
-    s = -1.0 if sf.minimize else 1.0
-    part = lambda v: None if v is None else s * v
-    return t.problem(sf, s * raw["p"], s * raw["q"], g=part(raw["g"]), h=part(raw["h"]),
-                     B=part(raw["B"]))
 
 
 def _ends(res):
@@ -74,18 +38,19 @@ def _cases():
     rng = np.random.default_rng(2211)
     for k in range(468):
         n = int(rng.choice([1, 2, 3, 4, 5, 8, 13, 16, 24, 32, 48, 64]))
-        parts = tuple(bool(b) for b in rng.random(3) < 0.7)
-        yield PLUS[k % 2], _raw(rng, n, KINDS[k % 3], (1, 0.5, 0.25, 2**-8)[k // 2 % 4],
-                                float(rng.uniform(0.1, 1)), parts)
+        parts = "".join(c for c, keep in zip("Bgh", rng.random(3) < 0.7) if keep)
+        step = (1, 0.5, 0.25, 2**-8)[k // 2 % 4]
+        yield PLUS[k % 2], planted(rng, n, KINDS[k % 3], size=20, step=step,
+                                   density=float(rng.uniform(0.1, 1)), parts=parts)
     for n in (48, 64, 96):
         for k, sf in enumerate(PLUS * 2):
-            yield sf, _raw(rng, n, ("feasible", "cycle")[k // 2], 1.0, 1.0)
+            yield sf, planted(rng, n, ("feasible", "cycle")[k // 2], size=20)
 
 
 def test_exact_min_agrees_with_the_solver():
     verdicts = {"optimal": 0, "TrExceedsOne": 0, "BoundsIncompatible": 0}
     for sf, raw in _cases():
-        inst = _instance(sf, raw)
+        inst = instance(sf, raw)
         sol = t.solve_instance(inst)
         assert _same(_ends(t.exact_min(inst)), _ends(sol)), (sf, raw)
         verdicts[sol.reason.value if isinstance(sol, t.InfeasibilityReport) else "optimal"] += 1
@@ -95,7 +60,7 @@ def test_exact_min_agrees_with_the_solver():
 
 def test_exact_min_at_n_256_takes_under_half_a_second():
     rng = np.random.default_rng(256)
-    inst = _instance(t.MAX_PLUS, _raw(rng, 256, "feasible", 0.25, 1.0))
+    inst = instance(t.MAX_PLUS, planted(rng, 256, size=20, step=0.25))
     start = time.perf_counter()
     res = t.exact_min(inst)
     assert time.perf_counter() - start < 0.5
@@ -104,7 +69,8 @@ def test_exact_min_at_n_256_takes_under_half_a_second():
 
 def test_exact_min_shares_no_formula_with_the_solver(monkeypatch):
     rng = np.random.default_rng(8)
-    cases = [_instance(t.MAX_PLUS, _raw(rng, 8, kind)) for kind in ("feasible", "cycle")]
+    cases = [instance(t.MAX_PLUS, planted(rng, 8, kind, size=20, density=0.7))
+             for kind in ("feasible", "cycle")]
     want = [_ends(t.solve_instance(inst)) for inst in cases]
     assert want[0] is not None and want[1] is None
 
@@ -174,16 +140,16 @@ def _metamorphic_cases():
     rng = np.random.default_rng(7)
     for k in range(36):
         n = int(rng.choice([2, 3, 5, 8, 16, 33, 64]))
-        yield rng, _raw(rng, n, KINDS[k % 3], 1.0, float(rng.uniform(0.2, 1)))
+        yield rng, planted(rng, n, KINDS[k % 3], size=20, density=float(rng.uniform(0.2, 1)))
 
 
 @pytest.mark.parametrize("sf", PLUS, ids=lambda sf: sf.tag)
 def test_permuting_the_coordinates_permutes_the_ends(sf):
     for rng, raw in _metamorphic_cases():
         perm = rng.permutation(len(raw["p"]))
-        moved = {k: None if v is None else v[np.ix_(perm, perm)] if v.ndim == 2 else v[perm]
-                 for k, v in raw.items()}
-        inst, other = _instance(sf, raw), _instance(sf, moved)
+        moved = {k: None if raw[k] is None else raw[k][np.ix_(perm, perm)] if k == "B"
+                 else raw[k][perm] for k in PARTS}
+        inst, other = instance(sf, raw), instance(sf, moved)
         for mine, theirs in zip(_both(inst), _both(other)):
             want = None if mine is None else (mine[0], mine[1][perm], mine[2][perm])
             assert _same(theirs, want)
@@ -194,8 +160,8 @@ def test_permuting_the_coordinates_permutes_the_ends(sf):
 
 def test_negation_maps_max_plus_to_min_plus():
     for _, raw in _metamorphic_cases():
-        mine = _both(_instance(t.MAX_PLUS, raw))
-        theirs = _both(_instance(t.MIN_PLUS, raw))
+        mine = _both(instance(t.MAX_PLUS, raw))
+        theirs = _both(instance(t.MIN_PLUS, raw))
         for a, b in zip(mine, theirs):
             want = None if a is None else (t.MIN_PLUS.scalar(-a[0].value), -a[1], -a[2])
             assert _same(b, want)
@@ -207,6 +173,6 @@ def test_shifting_p_up_and_q_down_shifts_theta(sf):
         c = float(rng.integers(-9, 10))
         shifted = dict(raw, p=raw["p"] + c, q=raw["q"] - c)
         s = -1.0 if sf.minimize else 1.0
-        for a, b in zip(_both(_instance(sf, raw)), _both(_instance(sf, shifted))):
+        for a, b in zip(_both(instance(sf, raw)), _both(instance(sf, shifted))):
             want = None if a is None else (sf.scalar(a[0].value + s * c), a[1], a[2])
             assert _same(b, want)

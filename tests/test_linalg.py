@@ -7,7 +7,7 @@ import tropt as t
 from tropt import _kernels
 from tropt.errors import DimensionError, DomainError, SemifieldMismatchError
 
-from conftest import power_trace_loop
+from conftest import power_trace_loop, to_sf
 
 ALL = [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES]
 
@@ -99,6 +99,11 @@ class TestBasicOps:
         assert v.conj() == w
         assert hash(v.conj()) == hash(w)
         assert len({v.conj(), w}) == 1
+        # other shapes and types are unequal; a scalar hashes like its value
+        assert v.eq(w) is False and (v == [[0], [2]]) is False
+        s = mp.scalar(0.0)
+        assert s == mp.scalar(-0.0) and len({s, mp.scalar(-0.0)}) == 1
+        assert (s == 0.0) is False
 
     def test_regularity(self, mp):
         assert t.tvector(mp, [3, 14]).is_regular()
@@ -236,9 +241,7 @@ def _from_exponents(sf, exps, mask):
     plus semifields and as powers of two in the times ones, negated for the
     min ones, so a cycle exceeds one exactly when its exponents sum above 0.
     Masked entries are the semifield zero."""
-    e = -exps if sf.minimize else exps
-    vals = np.exp2(e) if sf.times else e
-    return t.TropicalMatrix(sf, np.where(mask, sf.zero, vals))
+    return t.TropicalMatrix(sf, np.where(mask, sf.zero, to_sf(sf, exps)))
 
 
 def _reference_cases(sf, planted):

@@ -7,7 +7,7 @@ import tropt as t
 from tropt import location
 from tropt.errors import DimensionError, DomainError
 
-from conftest import POINTS, WEIGHTS, WORKED, random_feasible_instance
+from conftest import POINTS, WEIGHTS, WORKED, planted
 
 NEG = float("-inf")
 
@@ -95,6 +95,7 @@ class TestReduction:
     def test_objective_equals_worst_weighted_distance(self):
         rng = np.random.default_rng(54)
         inst = t.LocationInstance(np.array(POINTS, float), np.array(WEIGHTS, float))
+        assert (inst.m, inst.n) == (5, 2)
         gen = t.to_general_problem(inst)
         for _ in range(50):
             x = rng.integers(-15, 16, size=2).astype(float)
@@ -235,12 +236,10 @@ class TestSolveLocation:
         for _ in range(100):
             n = int(rng.integers(1, 4))
             m = int(rng.integers(1, 6))
-            raw = random_feasible_instance(rng, n, mixed_B=True)
+            raw = planted(rng, n)
             pts = rng.integers(-10, 11, size=(m, n)).astype(float)
             w = rng.integers(0, 6, size=m).astype(float)
-            inst = t.LocationInstance(
-                pts, w, B=np.array(raw["B"]), g=np.array(raw["g"]), h=np.array(raw["h"])
-            )
+            inst = t.LocationInstance(pts, w, B=raw["B"], g=raw["g"], h=raw["h"])
             loc = t.solve_location(inst)
             alg = t.solve_instance(t.to_general_problem(inst))
             if isinstance(loc, t.InfeasibilityReport):
@@ -256,6 +255,8 @@ class TestSolveLocation:
 
 class TestValidation:
     def test_rejects_bad_shapes(self):
+        with pytest.raises(DimensionError, match="points must be a non-empty m x n array"):
+            t.LocationInstance(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(DimensionError):
             t.LocationInstance(np.zeros((2, 2)), np.zeros(3))
         with pytest.raises(DimensionError):

@@ -15,7 +15,7 @@ import tropt as t
 from tropt.errors import DimensionError, DomainError, TroptError
 from tropt.solve import _objectives
 
-from conftest import MIXED_B_MAX_N, random_feasible_instance
+from conftest import instance, planted, to_sf
 
 SEMIFIELDS = [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES]
 
@@ -75,24 +75,10 @@ def outcome(fn, *args):
         return type(exc)
 
 
-def encode(sf, a):
-    """Max-plus values mapped order-faithfully into sf: 2**a in the times semifields."""
-    a = np.asarray(a, dtype=float)
-    return {t.MAX_PLUS: a, t.MIN_PLUS: -a, t.MAX_TIMES: np.exp2(a), t.MIN_TIMES: np.exp2(-a)}[sf]
-
-
 def nudge(sf, value, delta):
     """value moved by delta up in sf's order: absolute in plus semifields, relative in times."""
     up = -delta if sf.minimize else delta
     return value * (1 + up) if sf.times else value + up
-
-
-def instance(sf, raw):
-    mk = lambda v, f: None if v is None else f(sf, encode(sf, v))
-    return t.ProblemInstance(
-        sf, t.tvector(sf, encode(sf, raw["p"])), t.tvector(sf, encode(sf, raw["q"])),
-        g=mk(raw["g"], t.tvector), h=mk(raw["h"], t.tvector), B=mk(raw["B"], t.tmatrix),
-    )
 
 
 def oracle_argmins(raw):
@@ -109,7 +95,7 @@ def candidate_points(rng, sf, sol, raw):
     them, and the ends moved by less and by more than the default tolerance 1e-9."""
     n = len(raw["p"])
     ends = [sol.x_lo.data[:, 0], sol.x_hi.data[:, 0]]
-    base = ends + [encode(sf, a) for a in oracle_argmins(raw)[:2]]
+    base = ends + [to_sf(sf, a) for a in oracle_argmins(raw)[:2]]
 
     def moved(x, delta):
         i = int(rng.integers(n))
@@ -128,16 +114,12 @@ def candidate_points(rng, sf, sol, raw):
 
 
 def equivalence_cases():
-    """(sf, inst, sol, points by kind) over seeded feasible instances: 4 semifields, n = 1 to 4."""
+    """(sf, inst, sol, points by kind) over seeded feasible instances: 4 semifields, n = 1 to 6."""
     rng = np.random.default_rng(71)
     cases = []
     for k in range(260):
-        n = 1 + k % 4
-        raw = random_feasible_instance(
-            rng, n, with_box=bool(k % 3), mixed_B=n <= MIXED_B_MAX_N and bool(k % 2)
-        )
-        if k % 5 == 0:
-            raw["B"] = None
+        n = 1 + k % 6
+        raw = planted(rng, n, parts=("B" if k % 5 else "") + ("gh" if k % 3 else ""))
         for sf in SEMIFIELDS:
             inst = instance(sf, raw)
             sol = t.solve_instance(inst)
@@ -157,7 +139,7 @@ def column(sf, x):
 
 def test_instances_and_moved_points_cover_every_test(cases):
     assert len(cases) >= 1000
-    assert {c[1].n for c in cases} == {1, 2, 3, 4}
+    assert {c[1].n for c in cases} == {1, 2, 3, 4, 5, 6}
     assert {c[0] for c in cases} == set(SEMIFIELDS)
     alone = set()  # tests that reject a point which the other tests of their kind pass
     for sf, inst, sol, points in cases:
@@ -217,9 +199,9 @@ def test_multi_column_objective_keeps_the_vector_bits(sf):
     for n in (1, 2, 3, 4, 9, 17, 33):
         for _ in range(20):
             k = int(rng.integers(2, 7))
-            xs = encode(sf, rng.choice([0.0, -0.0], size=(n, k)))
-            p = encode(sf, rng.choice([0.0, -0.0, -1.0], size=n))
-            q = encode(sf, rng.choice([0.0, -0.0, 1.0], size=n))
+            xs = to_sf(sf, rng.choice([0.0, -0.0], size=(n, k)))
+            p = to_sf(sf, rng.choice([0.0, -0.0, -1.0], size=n))
+            q = to_sf(sf, rng.choice([0.0, -0.0, 1.0], size=n))
             p[rng.random(n) < 0.2] = sf.zero
             q[rng.random(n) < 0.2] = sf.zero
             q[int(rng.integers(n))] = sf.one  # q is not all zero

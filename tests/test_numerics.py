@@ -15,7 +15,7 @@ import tropt as t
 from tropt import _kernels
 from tropt.errors import TroptError
 
-from conftest import as_instance, power_trace_loop, random_feasible_instance
+from conftest import instance, planted, power_trace_loop
 
 PLUS = [t.MAX_PLUS, t.MIN_PLUS]
 
@@ -45,7 +45,7 @@ def _real_instance(draw, sf):
     raw = dict(p=p, q=q, g=g, h=h, B=B)
     if sf.minimize:
         raw = {k: None if v is None else -v for k, v in raw.items()}
-    return as_instance(sf, raw)
+    return t.problem(sf, **raw)
 
 
 @pytest.mark.parametrize("sf", PLUS, ids=lambda sf: sf.tag)
@@ -131,8 +131,7 @@ def counted(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_feasible_solve_eliminates_once_without_square_products(n, counted):
-    raw = random_feasible_instance(np.random.default_rng(n), n)
-    inst = as_instance(t.MAX_PLUS, raw)
+    inst = instance(t.MAX_PLUS, planted(np.random.default_rng(n), n))
     sol = t.solve_general(inst.B, inst.p, inst.q, inst.g, inst.h)
     assert isinstance(sol, t.SolutionSet)
     assert counted["closure"] == [((n, n), False)]

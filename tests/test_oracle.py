@@ -7,7 +7,7 @@ import pytest
 import tropt as t
 from tropt.errors import DomainError, GridGuardError, TroptError
 
-from conftest import as_instance, random_feasible_instance
+from conftest import instance, planted, to_sf
 
 
 class TestGridSpec:
@@ -168,15 +168,20 @@ class TestBruteForce:
     def test_agrees_with_the_solver_at_n_4_to_6(self, sf):
         # No dimension cap: planted instances at n = 4, 5 and 6, with theta,
         # the optimizer and every argmin checked.  The plus semifields scan
-        # their default grid, the box [g, h] at step 1/2, exact on integer
-        # data.  The times instances are pinned (no objective slack), so the
-        # planted x, made of powers of two in [1, 8], is the one optimizer,
-        # and the integer grid from 1 to 8 holds it.
+        # their default grid, the box [g, h] at step 1/2, which holds the
+        # planted x.  The times instances have size 1 on the lattice of 2,
+        # so they have no slack and x, of integer exponents in [0, 3], is the
+        # one optimizer; the grid of the powers of two from 2^0 to 2^3,
+        # carried to sf at the step of its lower end, holds it.
         rng = np.random.default_rng(46)
+        ends = np.sort(to_sf(sf, [0.0, 3.0]))
         for k in range(9):
-            x, theta, inst = _planted(rng, sf, 4 + k % 3)
-            grid = (t.GridSpec(np.ones(inst.n), np.full(inst.n, 8.0), 1.0) if sf.times
-                    else t.default_grid(inst))
+            raw = (planted(rng, 4 + k % 3, size=1, step=2.0) if sf.times
+                   else planted(rng, 4 + k % 3, size=4))
+            inst = instance(sf, raw)
+            x, theta = to_sf(sf, raw["x"]), float(to_sf(sf, raw["theta"]))
+            grid = (t.GridSpec(np.full(inst.n, ends[0]), np.full(inst.n, ends[1]), ends[0])
+                    if sf.times else t.default_grid(inst))
             sol = t.solve_instance(inst)
             res = t.brute_force_min(inst, grid)
             assert sol.theta.eq(sf.scalar(theta)) and res.min_value.eq(sol.theta), k
@@ -203,44 +208,12 @@ class TestBruteForce:
         rng = np.random.default_rng(41)
         for _ in range(40):
             n = int(rng.integers(1, 4))
-            raw = random_feasible_instance(rng, n, mixed_B=True)
-            inst = as_instance(mp, raw)
+            inst = instance(mp, planted(rng, n))
             sol = t.solve_instance(inst)
             res = t.brute_force_min(inst)
             assert res.min_value == sol.theta
             for a in res.argmins:
                 assert t.contains(sol, inst, t.tvector(mp, a))
-
-
-def _planted(rng, sf, n):
-    """A feasible instance of integer exponents around the optimizer x, with
-    optimum theta: ``(x, theta, instance)``, carried to ``sf`` by
-    v -> v, -v, 2^v or 2^-v.
-
-    With p = theta + x - a, q = x - theta + b for slacks a, b >= 0 that are
-    0 at one index j, every point has objective at least
-    (p_j - q_j) / 2 = theta, and x attains it.  B = x_i - x_k - c (some
-    entries absent), g = x - s and h = x + s' keep x feasible.  In the times
-    semifields the slacks a and b are 0 and x is made of powers of two in
-    [1, 8].
-    """
-    if sf.times:
-        y = rng.integers(0, 4, n).astype(float)
-        x, theta = (y if not sf.minimize else -y), float(rng.integers(1, 3))
-        a = b = np.zeros(n)
-    else:
-        x, theta = rng.integers(-4, 5, n).astype(float), float(rng.integers(0, 4))
-        a, b = rng.integers(0, 3, (2, n)).astype(float)
-        j = int(rng.integers(n))
-        a[j] = b[j] = 0.0
-    B = x[:, None] - x[None, :] - rng.integers(0, 3, (n, n))
-    B[rng.random((n, n)) < 0.3] = -np.inf
-    raw = dict(p=theta + x - a, q=x - theta + b, B=B,
-               g=x - rng.integers(0, 3, n), h=x + rng.integers(0, 2, n))
-    to_sf = {t.MAX_PLUS: lambda v: v, t.MIN_PLUS: np.negative,
-             t.MAX_TIMES: np.exp2, t.MIN_TIMES: lambda v: np.exp2(-v)}[sf]
-    inst = t.problem(sf, **{key: to_sf(v) for key, v in raw.items()})
-    return to_sf(x), float(to_sf(theta)), inst
 
 
 class TestDyadicData:
@@ -270,14 +243,11 @@ class TestDyadicData:
         # also the minimum of a scan of every point of the fine lattice in
         # the default grid's box, and both ends are among its argmins.
         rng = np.random.default_rng(77)
-        s = -1.0 if sf.minimize else 1.0
         scanned = 0
         for k in range(60):
             n = int(rng.integers(1, 4))
-            raw = random_feasible_instance(rng, n, with_box=k % 2 == 0, mixed_B=k % 3 == 0)
             scale = 2.0 if k % 4 else 4.0
-            raw = {key: None if v is None else s * np.asarray(v) / scale for key, v in raw.items()}
-            inst = as_instance(sf, raw)
+            inst = instance(sf, planted(rng, n, step=1 / scale, parts=("Bgh", "B", "gh")[k % 3]))
             sol = t.solve_instance(inst)
             res = t.exact_min(inst)
             assert res.min_value == sol.theta
@@ -460,12 +430,13 @@ SEMIFIELDS = [t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES]
 
 @pytest.mark.parametrize("sf", [t.MAX_TIMES, t.MIN_TIMES], ids=lambda sf: sf.tag)
 def test_scan_matches_one_shot_on_64_cube_traffic(sf, monkeypatch):
-    # Instances shaped like the benchmark's 64^3 oracle class: n = 3, an
-    # integer grid 1..64, B at density 0.7, and a unique optimizer of powers
-    # of two planted in it (built in max-plus exponents and carried by 2^v
-    # to max-times, or by 2^-v to min-times).  Every fifth one has a self-loop
-    # of weight 2 on one coordinate, so no point is feasible and the box is
-    # empty.  The box of the others is narrowed or whole.
+    # Instances shaped like the benchmark's 64^3 oracle class: n = 3, a grid
+    # of 64 points per axis, B at density 0.7, and an optimizer of powers of
+    # two planted in it: planted exponents x in [0, 5] on the lattice of 2,
+    # carried by 2^v to max-times and by 2^-v to min-times, with the grid
+    # from 2^0 to 2^6 carried the same way at the step of its lower end.
+    # Every fifth one has a cycle above one, so no point is feasible and
+    # the box is empty.  The box of the others is narrowed or whole.
     from tropt import _kernels
     box_of, kinds = _kernels._box, []
 
@@ -478,19 +449,11 @@ def test_scan_matches_one_shot_on_64_cube_traffic(sf, monkeypatch):
 
     monkeypatch.setattr(_kernels, "_box", spy)
     rng = np.random.default_rng(76)
-    grid = t.GridSpec(np.ones(3), np.full(3, 64.0), 1.0)
-    sign = -1.0 if sf.minimize else 1.0
+    ends = np.sort(to_sf(sf, [0.0, 6.0]))
+    grid = t.GridSpec(np.full(3, ends[0]), np.full(3, ends[1]), ends[0])
     for k in range(15):
-        y = sign * rng.integers(0, 7, size=3)  # the optimizer is 2^|y|
-        theta = float(rng.integers(1, 3))
-        B = y[:, None] - y[None, :] - rng.integers(0, 3, size=(3, 3))
-        B[rng.random((3, 3)) >= 0.7] = -np.inf
-        if k % 5 == 4:
-            i = int(rng.integers(3))
-            B[i, i] = 1.0
-        p, q = theta + y, y - theta
-        inst = t.problem(sf, *(np.exp2(sign * v).tolist() for v in (p, q)),
-                         B=np.exp2(sign * B).tolist())
+        kind = "cycle" if k % 5 == 4 else "feasible"
+        inst = instance(sf, planted(rng, 3, kind, size=2, step=2.0, density=0.7, parts="B"))
         best, argmins, count = _point_wise(inst, grid)
         res = t.brute_force_min(inst, grid)
         assert res.feasible_count == count
@@ -510,7 +473,6 @@ def test_scan_matches_one_shot_on_29_cube_traffic(sf):
     # carry g and h, and every third q has a zero component.  A q that is
     # all zero has no conjugate.
     rng = np.random.default_rng(81)
-    sign = -1.0 if sf.minimize else 1.0
     shares = set()
     for k in range(24):
         B = rng.integers(-2, 1, size=(3, 3)).astype(float)
@@ -523,8 +485,7 @@ def test_scan_matches_one_shot_on_29_cube_traffic(sf):
         if k % 2:
             g = rng.integers(-2, 1, size=3).astype(float)
             h = g + rng.integers(0, 3, size=3)
-        inst = t.problem(sf, *(sign * v for v in (p, q)), g=None if g is None else sign * g,
-                         h=None if h is None else sign * h, B=sign * B)
+        inst = instance(sf, dict(p=p, q=q, g=g, h=h, B=B))
         grid = t.default_grid(inst)
         assert g is not None or grid.point_count() == 29**3
         best, argmins, count = _point_wise(inst, grid)

@@ -23,6 +23,8 @@ from tropt.probfile import (
 )
 from tropt.svg import render_svg
 
+from conftest import PARTS, planted
+
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
@@ -43,6 +45,14 @@ class TestParsing:
         }
         parsed = parse_problem(doc)
         assert parsed.instance.B[0, 0] == -math.inf
+
+    def test_number_subclasses_are_numbers(self):
+        # json gives plain ints and floats; a document built in Python may hold
+        # their subclasses, which take the checked path
+        Int, Float = type("Int", (int,), {}), type("Float", (float,), {})
+        parsed = parse_problem({"problem": "unconstrained", "p": [Int(3), Float(0.5)],
+                                "q": [0, 0]})
+        assert parsed.instance.p.column_values().tolist() == [3.0, 0.5]
 
     def test_semifield_default_and_override(self):
         doc = {"problem": "unconstrained", "p": [1], "q": [-1]}
@@ -67,6 +77,7 @@ class TestParsing:
              "one weight per point"),
             ({"problem": "box", "p": [1, 2], "q": [1], "g": [1, 2], "h": [1, 2]},
              "column vector of length"),
+            ({"problem": "linear", "p": [1], "q": [1], "B": 0}, "'B': expected a non-empty array"),
         ],
     )
     def test_diagnostics(self, doc, fragment):
@@ -131,6 +142,21 @@ class TestCliSolve:
     def test_missing_file_exit_2(self, capsys):
         assert main(["solve", "/no/such/file.json"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, line", [
+        (b'{"problem": "unconstrained", "p": [1' + b"0" * 400 + b'], "q": [0]}',
+         "error: field 'p'[0]: integer outside the float range"),
+        (b'\xff{"problem": "unconstrained", "p": [1], "q": [0]}',
+         "error: {f}: not UTF-8 text at byte 0"),
+        (b"[" * 100_000 + b"]" * 100_000, "error: {f}: JSON nested too deep"),
+    ], ids=["integer-beyond-floats", "not-utf-8", "nested-too-deep"])
+    def test_unreadable_file_exit_2(self, content, line, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_bytes(content)
+        assert main(["solve", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [line.format(f=f)]
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.json"
@@ -380,12 +406,8 @@ class TestCliVerify:
                        "summary": "agree: theta = 2"}
 
     def test_verify_agrees_at_n_64(self, tmp_path, capsys):
-        rng = np.random.default_rng(64)
-        x = rng.integers(-20, 21, 64).astype(float)
-        B = np.subtract.outer(x, x) - rng.integers(0, 30, (64, 64))
-        doc = {"problem": "general", "p": (x + rng.integers(0, 9, 64)).tolist(),
-               "q": (x - rng.integers(0, 9, 64)).tolist(), "B": B.tolist(),
-               "g": (x - 5).tolist(), "h": (x + 5).tolist()}
+        raw = planted(np.random.default_rng(64), 64, size=20)
+        doc = {"problem": "general", **{k: raw[k].tolist() for k in PARTS}}
         f = tmp_path / "p.json"
         f.write_text(json.dumps(doc))
         code = main(["verify", str(f)])

@@ -10,7 +10,7 @@ from tropt.errors import DomainError, TroptError
 from tropt.linalg import TropicalMatrix
 from tropt.semifield import Semifield
 
-from conftest import MIXED_B_MAX_N, as_instance, random_feasible_instance, theta_forms_agree
+from conftest import PARTS, instance, planted, theta_forms_agree
 
 
 class TestUnconstrained:
@@ -126,7 +126,7 @@ class TestSpecialization:
         rng = np.random.default_rng(31)
         for _ in range(100):
             n = int(rng.integers(1, 5))
-            raw = random_feasible_instance(rng, n, with_box=False)
+            raw = planted(rng, n, parts="B")
             p = t.tvector(mp, raw["p"])
             q = t.tvector(mp, raw["q"])
             a = t.solve_unconstrained(p, q)
@@ -137,7 +137,7 @@ class TestSpecialization:
         rng = np.random.default_rng(32)
         for _ in range(100):
             n = int(rng.integers(1, 5))
-            raw = random_feasible_instance(rng, n, with_box=False)
+            raw = planted(rng, n, parts="B")
             B = t.tmatrix(mp, raw["B"])
             p = t.tvector(mp, raw["p"])
             q = t.tvector(mp, raw["q"])
@@ -150,7 +150,7 @@ class TestSpecialization:
         rng = np.random.default_rng(33)
         for _ in range(100):
             n = int(rng.integers(1, 5))
-            raw = random_feasible_instance(rng, n)
+            raw = planted(rng, n)
             p = t.tvector(mp, raw["p"])
             q = t.tvector(mp, raw["q"])
             g = t.tvector(mp, raw["g"])
@@ -193,8 +193,7 @@ class TestMembership:
         rng = np.random.default_rng(34)
         for _ in range(100):
             n = int(rng.integers(1, 4))
-            raw = random_feasible_instance(rng, n, mixed_B=True)
-            inst = as_instance(mp, raw)
+            inst = instance(mp, planted(rng, n))
             sol = t.solve_instance(inst)
             assert isinstance(sol, t.SolutionSet)
             assert t.contains(sol, inst, sol.x_lo)
@@ -209,7 +208,7 @@ class TestThetaForms:
         rng = np.random.default_rng(35)
         for _ in range(100):
             n = int(rng.integers(1, 6))
-            raw = random_feasible_instance(rng, n, with_box=False)
+            raw = planted(rng, n, parts="B")
             B = t.tmatrix(mp, raw["B"])
             p = t.tvector(mp, raw["p"])
             q = t.tvector(mp, raw["q"])
@@ -222,23 +221,11 @@ class TestThetaForms:
             theta_forms_agree(B, v, v)
 
 
-def _translate(raw, sf, *, pow2=False):
-    """Map a max-plus instance onto another semifield, order-faithfully.
-
-    The times semifields get exp(+-a/8), or 2**(+-a) with ``pow2``, which
-    keeps integer data exact.
-    """
-    if sf is t.MAX_PLUS:
-        conv = lambda a: a
-    elif sf is t.MIN_PLUS:
-        conv = lambda a: -np.asarray(a, dtype=float)
-    elif sf is t.MAX_TIMES:
-        conv = lambda a: np.exp2(a) if pow2 else np.exp(np.asarray(a, dtype=float) / 8)
-    else:
-        conv = lambda a: (np.exp2(-np.asarray(a, dtype=float)) if pow2
-                          else np.exp(-np.asarray(a, dtype=float) / 8))
-    out = {k: None if v is None else conv(v) for k, v in raw.items()}
-    return as_instance(sf, out)
+def _translate(raw, sf):
+    """The data ``raw`` in sf, with e^(+-v/8) in the times semifields: real
+    values off the powers of two."""
+    scale = 1 / (8 * math.log(2)) if sf.times else 1.0
+    return instance(sf, {k: None if raw[k] is None else raw[k] * scale for k in PARTS})
 
 
 def _back(sf, value):
@@ -257,7 +244,7 @@ class TestCrossSemifield:
         rng = np.random.default_rng(36)
         for _ in range(50):
             n = int(rng.integers(1, 4))
-            raw = random_feasible_instance(rng, n, mixed_B=(n > 1))
+            raw = planted(rng, n)
             ref = None
             for sf in (t.MAX_PLUS, t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES):
                 sol = t.solve_instance(_translate(raw, sf))
@@ -267,34 +254,6 @@ class TestCrossSemifield:
                     ref = theta
                 else:
                     assert math.isclose(theta, ref, rel_tol=1e-9, abs_tol=1e-9)
-
-
-def _exp_draw(rng, n, kind):
-    """Integer max-plus data, feasible unless ``kind`` plants a cycle above one or crosses a bound.
-
-    B's entries lie in [-10, -1], some absent, so every cycle of it is
-    negative until one is planted; g <= 0 <= h keeps conj(h) B* g at most
-    one until g_i is raised above h_i.
-    """
-    B = None
-    if kind == "cycle" or rng.random() < 0.8:
-        B = rng.integers(-10, 0, size=(n, n)).astype(float)
-        B[rng.random((n, n)) < 0.3] = -np.inf
-    if kind == "cycle":
-        cycle = rng.permutation(n)[:int(rng.integers(1, n + 1))]
-        w = rng.integers(-6, 7, size=cycle.size).astype(float)
-        w[0] += int(rng.integers(1, 4)) - w.sum()
-        B[cycle, np.roll(cycle, -1)] = w
-    g = h = None
-    if kind == "bound" or rng.random() < 0.7:
-        g = rng.integers(-10, 1, size=n).astype(float)
-        h = rng.integers(0, 11, size=n).astype(float)
-    if kind == "bound":
-        i = int(rng.integers(n))
-        g[i] = h[i] + int(rng.integers(1, 4))
-    p = rng.integers(-10, 11, size=n).astype(float)
-    q = rng.integers(-10, 11, size=n).astype(float)
-    return dict(B=B, p=p, q=q, g=g, h=h)
 
 
 @pytest.mark.parametrize("plus, times", [(t.MAX_PLUS, t.MAX_TIMES), (t.MIN_PLUS, t.MIN_TIMES)],
@@ -309,9 +268,10 @@ def test_exp_maps_plus_solutions_onto_times_solutions(plus, times):
     rng = np.random.default_rng(39)
     outcomes = collections.Counter()
     for n in (2, 3, 4, 5, 8, 13, 24, 40, 64):
-        for kind in ("feasible", "cycle", "bound") * 20:
-            raw = _exp_draw(rng, n, kind)
-            insts = [_translate(raw, plus), _translate(raw, times, pow2=True)]
+        for kind in ("feasible", "cycle", "bounds") * 20:
+            parts = ("B" if rng.random() < 0.8 else "") + ("gh" if rng.random() < 0.7 else "")
+            raw = planted(rng, n, kind, density=0.7, parts=parts)
+            insts = [instance(plus, raw), instance(times, raw)]
             lhs, rhs = (t.solve_instance(inst) for inst in insts)
             assert type(lhs) is type(rhs)
             if isinstance(lhs, t.InfeasibilityReport):
@@ -346,15 +306,9 @@ def test_wrappers_specialize_general_in_every_semifield(sf):
     # infeasible draws included: reports must agree in reason and detail too.
     rng = np.random.default_rng(38)
     outcomes = collections.Counter()
-    for _ in range(150):
-        n = int(rng.integers(1, 5))
-        B = rng.integers(-12, 3, size=(n, n)).astype(float)
-        B[rng.random((n, n)) < 0.3] = -np.inf
-        raw = dict(
-            p=rng.integers(-10, 11, size=n), q=rng.integers(-10, 11, size=n),
-            g=rng.integers(-10, 4, size=n), h=rng.integers(-3, 11, size=n), B=B,
-        )
-        inst = _translate(raw, sf, pow2=True)
+    for k in range(150):
+        kind = ("feasible", "cycle", "bounds")[k % 3]
+        inst = instance(sf, planted(rng, int(rng.integers(1, 5)), kind))
         p, q, g, h, B = inst.p, inst.q, inst.g, inst.h, inst.B
         pairs = [
             (t.solve_unconstrained(p, q), t.solve_general(None, p, q)),
@@ -411,8 +365,3 @@ def test_a_theta_at_the_zero_has_no_inverse(sf, p, q):
     message = f"^{sf.tag}: the semifield zero has no inverse$"
     with np.errstate(over="ignore"), pytest.raises(DomainError, match=message):
         t.solve_unconstrained(t.tvector(sf, [p]), t.tvector(sf, [q]))
-
-
-def test_mixed_draws_stop_at_the_size_limit():
-    with pytest.raises(RuntimeError, match=f"supports n <= {MIXED_B_MAX_N}"):
-        random_feasible_instance(np.random.default_rng(0), 6, mixed_B=True)
