@@ -36,54 +36,66 @@ def worked(mp):
 PARTS = ("p", "q", "g", "h", "B")
 
 
-def planted(rng, n, kind="feasible", *, size=5, step=1.0, density=1.0, parts="Bgh"):
-    """Max-plus data on the lattice of ``step``, built around a planted optimizer.
+def planted(rng, n, kind="feasible", *, size=5, step=1.0, density=1.0, parts="Bgh",
+            optimum=False):
+    """Max-plus data on the lattice of ``step``, built around a planted point x.
 
-    The optimizer x and the optimum theta lie on the half lattice: one
-    offset o, 0 or step / 2, is drawn, then x = o + step * [0, size]^n and
-    theta = o + step * [-size, size], so in half the draws they fall between
-    the lattice points that hold every datum.  With slacks that are
-    multiples of step,
-    - p = theta + x - a and q = x - theta + b, a and b in [0, size // 2] but
-      a_j = b_j = 0 at one index j: every point has objective at least
-      (p_j - q_j) / 2 = theta, and x attains it;
+    x lies on the half lattice: one offset o, 0 or step / 2, is drawn, then
+    x = o + step * [0, size]^n, so in half the draws it falls between the
+    lattice points that hold every datum.  With slacks that are multiples
+    of step,
     - B_ik = x_i - x_k - c_ik, c in [0, size], absent at the share
       1 - density: no cycle of B weighs above zero, since x solves B x <= x;
     - g = x - o - s and h = x + o + s', s and s' in [0, size // 4], the
-      entries of g absent at the share 1 - density: g <= x <= h.
+      entries of g absent at the share 1 - density: g <= x <= h;
+    - p and q are x - o + step * [-size, size]^n, drawn freely: whether the
+      optimum comes from sqrt(conj(q) B* p), a box term or a path of B*
+      depends on the draw.  With ``optimum`` they are planted instead:
+      theta = o + step * [-size, size], p = theta + x - a and
+      q = x - theta + b, a and b in [0, size // 2] but a_j = b_j = 0 at one
+      index j, so every point has objective at least (p_j - q_j) / 2 =
+      theta and x attains it.
 
-    ``parts`` names the parts present among B, g and h.  ``kind`` plants one
-    defect and brings the parts it needs: "cycle" sets the edges of a cycle
-    of 1 to n nodes to x_i - x_k and raises one of them by step
-    (TrExceedsOne); "bounds" sets one g_j to h_j + step (BoundsIncompatible).
+    ``parts`` names the parts present among B, g and h.  ``kind`` plants
+    defects and brings the parts they need: "cycle" sets the edges of a
+    cycle of 1 to n nodes to x_i - x_k and raises one of them by 1 to 3
+    steps (TrExceedsOne); "bounds" sets one g_j to h_j + 1 to 3 steps
+    (BoundsIncompatible); "both" plants the two.
 
-    Returns a dict of p, q, g, h and B (None where absent), with the planted
-    "x" and "theta", which a defect leaves as they were.
+    Returns a dict of p, q, g, h and B (None where absent), with the
+    planted "x", which a defect leaves as it was, and "theta", the optimum
+    with ``optimum`` and None otherwise.
     """
     lattice = lambda lo, hi, shape=None: rng.integers(lo, hi + 1, shape) * step
+    cycle, bounds = kind in ("cycle", "both"), kind in ("bounds", "both")
     o = step / 2 * rng.integers(2)
     x = o + lattice(0, size, n)
-    theta = float(o + lattice(-size, size))
-    a, b = lattice(0, size // 2, (2, n))
-    j = rng.integers(n)
-    a[j] = b[j] = 0.0
-    raw = dict(p=theta + x - a, q=x - theta + b, g=None, h=None, B=None, x=x, theta=theta)
-    if "B" in parts or kind == "cycle":
+    if optimum:
+        theta = float(o + lattice(-size, size))
+        a, b = lattice(0, size // 2, (2, n))
+        j = rng.integers(n)
+        a[j] = b[j] = 0.0
+        p, q = theta + x - a, x - theta + b
+    else:
+        theta = None
+        p, q = x - o + lattice(-size, size, (2, n))
+    raw = dict(p=p, q=q, g=None, h=None, B=None, x=x, theta=theta)
+    if "B" in parts or cycle:
         raw["B"] = np.subtract.outer(x, x) - lattice(0, size, (n, n))
         raw["B"][rng.random((n, n)) >= density] = -np.inf
-    if "g" in parts or kind == "bounds":
+    if "g" in parts or bounds:
         raw["g"] = x - o - lattice(0, size // 4, n)
         raw["g"][rng.random(n) >= density] = -np.inf
-    if "h" in parts or kind == "bounds":
+    if "h" in parts or bounds:
         raw["h"] = x + o + lattice(0, size // 4, n)
-    if kind == "cycle":
+    if cycle:
         c = rng.permutation(n)[: rng.integers(1, n + 1)]
         nxt = np.roll(c, -1)
         raw["B"][c, nxt] = x[c] - x[nxt]
-        raw["B"][c[0], nxt[0]] += step
-    elif kind == "bounds":
+        raw["B"][c[0], nxt[0]] += lattice(1, 3)
+    if bounds:
         i = rng.integers(n)
-        raw["g"][i] = raw["h"][i] + step
+        raw["g"][i] = raw["h"][i] + lattice(1, 3)
     return raw
 
 

@@ -1,6 +1,7 @@
 """The exact oracle (``exact_min``) against the solver, an LP solver and
 the algebra's own symmetries."""
 
+import collections
 import time
 
 import numpy as np
@@ -47,15 +48,37 @@ def _cases():
             yield sf, planted(rng, n, ("feasible", "cycle")[k // 2], size=20)
 
 
+def _theta_source(raw):
+    """Which term sets theta in the max-plus data ``raw``, with B* from
+    squaring I + B: "box" when conj(h) B* p or conj(q) B* g is above
+    sqrt(conj(q) B* p), else "path" when a path of B* lifts that term above
+    its diagonal, max (p_j - q_j) / 2, else "diagonal"."""
+    p, q, g, h, B = (raw[k] for k in PARTS)
+    star = np.where(np.eye(p.size, dtype=bool), 0.0, -np.inf)
+    if B is not None:
+        star = np.maximum(star, B)
+        for _ in range(p.size.bit_length()):
+            star = (star[:, :, None] + star[None, :, :]).max(axis=1)
+    term = lambda row, col: (star - row[:, None] + col[None, :]).max()
+    box = max(-np.inf if h is None else term(h, p), -np.inf if g is None else term(q, g))
+    half = term(q, p) / 2
+    return "box" if box > half else "path" if half > (p - q).max() / 2 else "diagonal"
+
+
 def test_exact_min_agrees_with_the_solver():
     verdicts = {"optimal": 0, "TrExceedsOne": 0, "BoundsIncompatible": 0}
+    sources = collections.Counter()
     for sf, raw in _cases():
         inst = instance(sf, raw)
         sol = t.solve_instance(inst)
         assert _same(_ends(t.exact_min(inst)), _ends(sol)), (sf, raw)
         verdicts[sol.reason.value if isinstance(sol, t.InfeasibilityReport) else "optimal"] += 1
+        if isinstance(sol, t.SolutionSet):
+            sources[_theta_source(raw)] += 1
     assert sum(verdicts.values()) >= 400
     assert min(verdicts.values()) >= 100, verdicts
+    # Each term of theta sets it in a share of the feasible draws.
+    assert min(sources[k] for k in ("box", "path", "diagonal")) >= 20, sources
 
 
 def test_exact_min_at_n_256_takes_under_half_a_second():

@@ -176,8 +176,8 @@ class TestBruteForce:
         rng = np.random.default_rng(46)
         ends = np.sort(to_sf(sf, [0.0, 3.0]))
         for k in range(9):
-            raw = (planted(rng, 4 + k % 3, size=1, step=2.0) if sf.times
-                   else planted(rng, 4 + k % 3, size=4))
+            raw = (planted(rng, 4 + k % 3, size=1, step=2.0, optimum=True) if sf.times
+                   else planted(rng, 4 + k % 3, size=4, optimum=True))
             inst = instance(sf, raw)
             x, theta = to_sf(sf, raw["x"]), float(to_sf(sf, raw["theta"]))
             grid = (t.GridSpec(np.full(inst.n, ends[0]), np.full(inst.n, ends[1]), ends[0])

@@ -303,11 +303,12 @@ def test_membership_disagreement_raises(worked, mp):
 @pytest.mark.parametrize("sf", [t.MIN_PLUS, t.MAX_TIMES, t.MIN_TIMES], ids=lambda sf: sf.tag)
 def test_wrappers_specialize_general_in_every_semifield(sf):
     # TestSpecialization in the other three semifields, on exact data, with
-    # infeasible draws included: reports must agree in reason and detail too.
+    # infeasible draws included, some with a cycle above one and crossed
+    # bounds together: reports must agree in reason and detail too.
     rng = np.random.default_rng(38)
     outcomes = collections.Counter()
     for k in range(150):
-        kind = ("feasible", "cycle", "bounds")[k % 3]
+        kind = ("feasible", "cycle", "bounds", "both")[k % 4]
         inst = instance(sf, planted(rng, int(rng.integers(1, 5)), kind))
         p, q, g, h, B = inst.p, inst.q, inst.g, inst.h, inst.B
         pairs = [
